@@ -74,6 +74,7 @@ pub mod report;
 pub mod sample;
 pub mod shard;
 pub mod sim;
+mod step;
 
 pub use app::{Application, ApplicationBuilder, ArgSpec, SyncAction, SyncSpec};
 pub use budget::{host_cores, worker_budget};

@@ -40,29 +40,27 @@
 //! engine (`crate::sim::write_snapshot`), so checkpoints restore across
 //! engines and shard counts.
 
-use std::cell::OnceCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use svmsyn_hwt::thread::HwStep;
 use svmsyn_mem::merge::{
     calendar_base, counter_base, fold_and_refresh_calendars, fold_stores, merged_memory,
     refresh_stores, CalendarBase, CounterBase,
 };
 use svmsyn_mem::{MemorySystem, VirtAddr};
-use svmsyn_os::cpu::SliceEnd;
 use svmsyn_os::os::Os;
-use svmsyn_os::sync::{SyncResult, ThreadId};
 use svmsyn_sim::{Cycle, Scheduler};
-use svmsyn_vm::mmu::Access;
 use svmsyn_vm::tlb::Asid;
 
-use crate::app::SyncAction;
 use crate::checkpoint::Checkpoint;
 use crate::flow::{Placement, SystemDesign};
 use crate::sim::{
-    boot_system, read_snapshot, write_snapshot, Body, Phase, RunProgress, ShardSyncStats,
-    SimConfig, SimError, SimOutcome, SnapshotView, SystemState, ThreadMetrics, ThreadRt,
+    boot_system, read_snapshot, write_snapshot, Phase, RunProgress, ShardSyncStats, SimConfig,
+    SimError, SimOutcome, SnapshotParts, SnapshotView, ThreadRt,
+};
+use crate::step::{
+    outcome, run_phase, sync_step, with_checkpoint, FaultStreak, RunParts, StepMirror, StepModel,
+    SyncHost, Watchdog,
 };
 
 /// Hard ceiling on shards: the fabric's transaction-id lanes need a
@@ -194,16 +192,10 @@ struct ShardState {
     retry_budget: u32,
     /// Full-size mirror of the global fault-streak table; only the slots
     /// of owned threads are ever written here.
-    fault_streaks: Vec<Option<(u64, u32, Cycle)>>,
-    /// Mirror of this wheel's pending step events `(at, seq, thread)`,
-    /// with globally-unique seqs (see `next_seq`).
-    pending_steps: Vec<(Cycle, u64, u32)>,
-    /// Seq lane: shard `s` of `N` draws `base + s, base + s + N, ...` so
-    /// seqs stay globally unique without cross-shard coordination, and
-    /// wheel insertion order equals `(at, seq)` order (snapshots depend
-    /// on that to reproduce same-cycle FIFO order on restore).
-    next_seq: u64,
-    seq_stride: u64,
+    fault_streaks: Vec<FaultStreak>,
+    /// Mirror of this wheel's pending step events. Its seq lane restarts
+    /// at `base + s` (stride `N`) every window.
+    steps: StepMirror,
     /// Outbox: cross-shard interactions recorded this window.
     crossings: Vec<Crossing>,
     /// First error this shard hit (stops its window immediately; the
@@ -229,42 +221,6 @@ struct Shard {
     wheel: ShardSched,
 }
 
-fn shard_unregister(st: &mut ShardState, seq: u64) {
-    if let Some(idx) = st.pending_steps.iter().position(|&(_, s, _)| s == seq) {
-        st.pending_steps.swap_remove(idx);
-    }
-}
-
-/// Schedules a step with an explicit seq (barrier deliveries and restore,
-/// where the coordinator assigns seqs below the window lanes).
-fn shard_schedule_at(st: &mut ShardState, wh: &mut ShardSched, at: Cycle, seq: u64, i: usize) {
-    st.pending_steps.push((at, seq, i as u32));
-    wh.schedule_at(at, move |st: &mut ShardState, wh: &mut ShardSched| {
-        shard_unregister(st, seq);
-        shard_step_thread(st, wh, i);
-    });
-}
-
-/// Schedules a step with the next seq from this shard's window lane.
-fn shard_schedule_lane(st: &mut ShardState, wh: &mut ShardSched, at: Cycle, i: usize) {
-    let seq = st.next_seq;
-    st.next_seq += st.seq_stride;
-    shard_schedule_at(st, wh, at, seq, i);
-}
-
-/// Wake-path variant of [`shard_schedule_lane`]: the wheel clamps a stale
-/// completion to `now`, and the mirror must record the clamped time (it is
-/// the cycle the wheel actually holds).
-fn shard_schedule_wake(st: &mut ShardState, wh: &mut ShardSched, wake: Cycle, i: usize) {
-    let seq = st.next_seq;
-    st.next_seq += st.seq_stride;
-    st.pending_steps.push((wake.max(wh.now()), seq, i as u32));
-    wh.schedule_wake(wake, move |st: &mut ShardState, wh: &mut ShardSched| {
-        shard_unregister(st, seq);
-        shard_step_thread(st, wh, i);
-    });
-}
-
 /// Applies shootdowns queued by an inline software fault to this shard's
 /// own threads immediately (matching the serial engine's every-event
 /// drain) and queues them for the other shards at the barrier.
@@ -275,157 +231,66 @@ fn drain_local_shootdowns(st: &mut ShardState) {
     };
     for (asid, va) in pending {
         for t in st.threads.iter_mut().flatten() {
-            match &mut t.body {
-                Body::Hw(hw) => hw.memif_mut().mmu_mut().invalidate_page(asid, va),
-                Body::Sw(sw) => sw.shootdown(asid, va),
-            }
+            t.body.shootdown(asid, va);
             st.local_shootdowns += 1;
         }
         st.shootdown_out.push((asid, va));
     }
 }
 
-enum LocalOutcome {
-    Reschedule(Cycle),
-    Wake(Cycle),
-    Finished(Option<i64>, Cycle),
-    /// A hardware fault parks the thread until the barrier services it.
-    FaultCrossing {
-        at: Cycle,
-        va: VirtAddr,
-        write: bool,
-    },
-    Segv(svmsyn_os::addrspace::Sigsegv),
-    Thrash {
-        faults: u64,
-        window: u64,
-    },
-}
+/// A shard's wheel model: run-phase follow-ups book in the shard's seq
+/// lane, while faults and kernel completions leave as crossings for the
+/// coordinator to handle at the barrier.
+impl StepModel for ShardState {
+    fn steps(&mut self) -> &mut StepMirror {
+        &mut self.steps
+    }
 
-fn shard_step_thread(st: &mut ShardState, wh: &mut ShardSched, i: usize) {
-    if st.error.is_some() {
-        return;
-    }
-    // Only run-phase bodies live on shard wheels; pre/post sync scripts
-    // execute on the coordinator's control queue.
-    match st.threads[i].as_ref().map(|t| t.phase) {
-        Some(Phase::Run) => {}
-        _ => return,
-    }
-    let now = wh.now();
-    let quantum = st.quantum;
-    let outcome = {
-        let ShardState {
-            mem,
-            os,
-            threads,
-            fault_streaks,
-            retry_budget,
-            ..
-        } = &mut *st;
-        let rt = threads[i].as_mut().expect("step for unowned thread");
-        match &mut rt.body {
-            Body::Hw(hw) => match hw.advance(mem, now, quantum) {
-                HwStep::Yielded { now } => {
-                    fault_streaks[i] = None;
-                    LocalOutcome::Reschedule(now)
-                }
-                HwStep::Parked { wake } => {
-                    fault_streaks[i] = None;
-                    LocalOutcome::Wake(wake)
-                }
-                HwStep::PageFault { fault, now } => {
-                    // Same streak accounting as the serial engine: a fault
-                    // with no memory op issued since the last one is a
-                    // retry that lost its frames again.
-                    let issued = hw.mem_ops_issued();
-                    let (count, first) = match &mut fault_streaks[i] {
-                        Some((at, c, f)) if *at == issued => {
-                            *c += 1;
-                            (*c, *f)
-                        }
-                        s => {
-                            *s = Some((issued, 1, now));
-                            (1, now)
-                        }
-                    };
-                    if *retry_budget > 0 && count > *retry_budget {
-                        LocalOutcome::Thrash {
-                            faults: count as u64,
-                            window: (now - first).0,
-                        }
-                    } else {
-                        LocalOutcome::FaultCrossing {
-                            at: now,
-                            va: fault.va(),
-                            write: fault.access() == Access::Write,
-                        }
-                    }
-                }
-                HwStep::Finished { ret, now } => {
-                    fault_streaks[i] = None;
-                    LocalOutcome::Finished(ret, now)
-                }
-            },
-            Body::Sw(sw) => {
-                let os = os
-                    .as_mut()
-                    .expect("software threads are pinned to the OS shard");
-                let (start, _) = os.cpus.run_slice(ThreadId(i as u32), now, quantum);
-                match sw.run_slice(os, mem, start, quantum) {
-                    Ok((end, SliceEnd::Finished { ret })) => LocalOutcome::Finished(ret, end),
-                    Ok((end, SliceEnd::BudgetExhausted)) => LocalOutcome::Reschedule(end),
-                    Err(segv) => LocalOutcome::Segv(segv),
-                }
-            }
+    fn step(&mut self, wh: &mut ShardSched, i: usize) {
+        // Only run-phase bodies live on shard wheels; pre/post sync scripts
+        // execute on the coordinator's control queue.
+        let running = self.threads[i]
+            .as_ref()
+            .is_some_and(|t| t.phase == Phase::Run);
+        if self.error.is_none() && running {
+            run_phase(self, wh, i);
+            // Inline software faults may have queued reclaim shootdowns.
+            drain_local_shootdowns(self);
         }
-    };
-    // Inline software faults may have queued reclaim shootdowns.
-    drain_local_shootdowns(st);
-    match outcome {
-        LocalOutcome::Reschedule(at) => shard_schedule_lane(st, wh, at, i),
-        LocalOutcome::Wake(wake) => shard_schedule_wake(st, wh, wake, i),
-        LocalOutcome::Finished(ret, at) => {
-            let rt = st.threads[i].as_mut().unwrap();
-            rt.ret = ret;
-            rt.phase = Phase::Post(0);
-            st.crossings.push(Crossing::Finish {
-                thread: i as u32,
-                at,
-            });
+    }
+
+    fn run_parts(&mut self, i: usize) -> RunParts<'_> {
+        RunParts {
+            rt: self.threads[i].as_mut().expect("step for unowned thread"),
+            streak: &mut self.fault_streaks[i],
+            mem: &mut self.mem,
+            os: self.os.as_mut(),
+            quantum: self.quantum,
+            retry_budget: self.retry_budget,
         }
-        LocalOutcome::FaultCrossing { at, va, write } => st.crossings.push(Crossing::Fault {
+    }
+
+    /// A hardware fault parks the thread until the barrier services it.
+    fn fault(&mut self, _: &mut ShardSched, i: usize, at: Cycle, va: VirtAddr, write: bool) {
+        self.crossings.push(Crossing::Fault {
             thread: i as u32,
             at,
             va,
             write,
-        }),
-        LocalOutcome::Segv(fault) => {
-            let name = st.threads[i].as_ref().unwrap().name.clone();
-            st.error = Some((
-                now,
-                SimError::Segv {
-                    thread: name,
-                    fault,
-                },
-            ));
-        }
-        LocalOutcome::Thrash { faults, window } => {
-            // Re-arm before flagging, exactly like the serial engine: the
-            // checkpoint attached at the barrier then has a runnable
-            // thread, so a resume under a raised budget retries.
-            shard_schedule_lane(st, wh, now, i);
-            let name = st.threads[i].as_ref().unwrap().name.clone();
-            st.error = Some((
-                now,
-                SimError::Thrashing {
-                    thread: name,
-                    faults,
-                    window,
-                    checkpoint: None,
-                },
-            ));
-        }
+        });
+    }
+
+    fn finished(&mut self, _: &mut ShardSched, i: usize, at: Cycle) {
+        self.crossings.push(Crossing::Finish {
+            thread: i as u32,
+            at,
+        });
+    }
+
+    /// Stops this shard's window; the coordinator picks the globally-first
+    /// error at the barrier.
+    fn fail(&mut self, _: &mut ShardSched, at: Cycle, error: SimError) {
+        self.error = Some((at, error));
     }
 }
 
@@ -502,8 +367,7 @@ pub struct ShardedSim<'d> {
     ctrl_fired: u64,
     /// Events fired before this instance existed (restore carry-over).
     base_fired: u64,
-    window_start: Cycle,
-    window_base_faults: u64,
+    watchdog: Watchdog,
     last_pause_events: u64,
     cal_bases: Vec<CalendarBase>,
     ctr_bases: Vec<CounterBase>,
@@ -549,77 +413,9 @@ impl<'d> ShardedSim<'d> {
         cfg: &SimConfig,
         mode: ExecMode,
     ) -> Result<ShardedSim<'d>, SimError> {
-        let p = plan(design, cfg);
-        let (state, buffer_vas) = boot_system(design, cfg)?;
-        let SystemState {
-            mut mem,
-            os,
-            asid,
-            threads,
-            sync_ids,
-            finished,
-            fault_streaks,
-            shootdowns,
-            ..
-        } = state;
-        mem.enable_store_journal();
-        let n = threads.len();
-
-        // Boot control items: every thread starts in its pre-sync phase,
-        // which runs on the coordinator.
-        let mut heap = BinaryHeap::new();
-        let mut next_seq = 0u64;
-        for (i, t) in threads.iter().enumerate() {
-            heap.push(Reverse(CtrlItem {
-                at: t.start,
-                seq: next_seq,
-                thread: i as u32,
-                kind: CtrlKind::Step,
-            }));
-            next_seq += 1;
-        }
-
-        let shards = Self::build_shards(&mem, &p, threads, fault_streaks, cfg);
-        let (shards, cal_bases, ctr_bases) = shards;
-
-        let mut master_owner = vec![0usize; n + 1];
-        master_owner[1..=n].copy_from_slice(&p.owner[..n]);
-
-        let window = Self::window_len(cfg, &mem);
-        Ok(ShardedSim {
-            design,
-            cfg: *cfg,
-            mode,
-            owner: p.owner,
-            master_owner,
-            n_shards: p.shards,
-            shards,
-            canon: mem,
-            os: Some(os),
-            asid,
-            sync_ids,
-            buffer_vas,
-            heap,
-            deliveries: Vec::new(),
-            finished,
-            error: None,
-            shootdowns,
-            next_seq,
-            clock: Cycle::ZERO,
-            window,
-            ctrl_fired: 0,
-            base_fired: 0,
-            window_start: Cycle::ZERO,
-            window_base_faults: 0,
-            last_pause_events: 0,
-            cal_bases,
-            ctr_bases,
-            sync_stats: ShardSyncStats {
-                shards: p.shards as u64,
-                window_len: window,
-                ..ShardSyncStats::default()
-            },
-        })
+        // Every booted thread starts in its pre-sync phase, so its first
+        // step lands on the control queue.
+        Ok(Self::from_parts(design, cfg, mode, boot_system(design)?))
     }
 
     /// The conservative lookahead window: an override when configured,
@@ -634,73 +430,6 @@ impl<'d> ShardedSim<'d> {
         }
     }
 
-    #[allow(clippy::type_complexity)]
-    fn build_shards(
-        canon: &MemorySystem,
-        p: &ShardPlan,
-        threads: Vec<ThreadRt>,
-        fault_streaks: Vec<Option<(u64, u32, Cycle)>>,
-        cfg: &SimConfig,
-    ) -> (Vec<Shard>, Vec<CalendarBase>, Vec<CounterBase>) {
-        let n = threads.len();
-        let (mems, cal_bases, ctr_bases) = build_replicas(canon, p.shards);
-        let mut slots: Vec<Vec<Option<ThreadRt>>> = (0..p.shards)
-            .map(|_| (0..n).map(|_| None).collect())
-            .collect();
-        for (i, t) in threads.into_iter().enumerate() {
-            slots[p.owner[i]][i] = Some(t);
-        }
-        let shards = mems
-            .into_iter()
-            .zip(slots)
-            .map(|(mem, threads)| Shard {
-                state: ShardState {
-                    mem,
-                    os: None,
-                    threads,
-                    quantum: cfg.quantum,
-                    retry_budget: cfg.fault_retry_budget,
-                    fault_streaks: fault_streaks.clone(),
-                    pending_steps: Vec::new(),
-                    next_seq: 0,
-                    seq_stride: p.shards as u64,
-                    crossings: Vec::new(),
-                    error: None,
-                    window_fired: 0,
-                    window_budget: u64::MAX,
-                    cap_hit: false,
-                    local_shootdowns: 0,
-                    shootdown_out: Vec::new(),
-                },
-                wheel: Scheduler::with_capacity(n * 2 + 8),
-            })
-            .collect();
-        (shards, cal_bases, ctr_bases)
-    }
-
-    fn thread(&self, i: usize) -> &ThreadRt {
-        self.shards[self.owner[i]].state.threads[i]
-            .as_ref()
-            .expect("thread home")
-    }
-
-    fn thread_mut(&mut self, i: usize) -> &mut ThreadRt {
-        let s = self.owner[i];
-        self.shards[s].state.threads[i]
-            .as_mut()
-            .expect("thread home")
-    }
-
-    fn total_fired(&self) -> u64 {
-        self.base_fired
-            + self.ctrl_fired
-            + self
-                .shards
-                .iter()
-                .map(|s| s.wheel.events_fired())
-                .sum::<u64>()
-    }
-
     /// The end of the last executed window (the barrier the coordinator is
     /// at).
     pub fn now(&self) -> Cycle {
@@ -709,7 +438,13 @@ impl<'d> ShardedSim<'d> {
 
     /// Total events fired across all shard wheels and the control queue.
     pub fn events_fired(&self) -> u64 {
-        self.total_fired()
+        self.base_fired
+            + self.ctrl_fired
+            + self
+                .shards
+                .iter()
+                .map(|s| s.wheel.events_fired())
+                .sum::<u64>()
     }
 
     fn note_error(&mut self, at: Cycle, shard: usize, error: SimError) {
@@ -724,20 +459,7 @@ impl<'d> ShardedSim<'d> {
 
     fn take_error(&mut self) -> Option<SimError> {
         let e = self.error.take()?;
-        Some(match e.error {
-            SimError::Thrashing {
-                thread,
-                faults,
-                window,
-                checkpoint: None,
-            } => SimError::Thrashing {
-                thread,
-                faults,
-                window,
-                checkpoint: Some(self.snapshot()),
-            },
-            other => other,
-        })
+        Some(with_checkpoint(e.error, || self.snapshot()))
     }
 
     fn push_ctrl(&mut self, at: Cycle, thread: u32, kind: CtrlKind) {
@@ -759,85 +481,10 @@ impl<'d> ShardedSim<'d> {
         for (asid, va) in pending {
             for sh in &mut self.shards {
                 for t in sh.state.threads.iter_mut().flatten() {
-                    match &mut t.body {
-                        Body::Hw(hw) => hw.memif_mut().mmu_mut().invalidate_page(asid, va),
-                        Body::Sw(sw) => sw.shootdown(asid, va),
-                    }
+                    t.body.shootdown(asid, va);
                     self.shootdowns += 1;
                 }
             }
-        }
-    }
-
-    /// Mirror of the serial engine's `handle_sync`, with run-phase
-    /// transitions staged as deliveries and wheel bookings replaced by
-    /// control-queue pushes.
-    fn ctrl_sync(&mut self, now: Cycle, i: usize, k: usize, is_pre: bool) {
-        let rt = self.thread(i);
-        let actions = if is_pre {
-            rt.pre.clone()
-        } else {
-            rt.post.clone()
-        };
-        if k >= actions.len() {
-            if is_pre {
-                self.thread_mut(i).phase = Phase::Run;
-                self.deliveries.push((now, i as u32));
-            } else {
-                let rt = self.thread_mut(i);
-                rt.phase = Phase::Done;
-                rt.end = Some(now);
-                self.finished += 1;
-            }
-            return;
-        }
-        let action = actions[k];
-        let placement = self.thread(i).placement;
-        let oid = self.sync_ids[action.object()];
-        let tid = ThreadId(i as u32);
-        let os = self.os.as_mut().expect("os home");
-        let cost = match placement {
-            Placement::Hardware => os.costs.osif_call_total(),
-            Placement::Software => os.costs.syscall,
-        };
-        let t = now + cost;
-        let (result, wakes) = match action {
-            SyncAction::MutexLock(_) => (os.sync.mutex_lock(tid, oid), vec![]),
-            SyncAction::MutexUnlock(_) => (
-                SyncResult::Proceed { value: None },
-                os.sync.mutex_unlock(tid, oid),
-            ),
-            SyncAction::SemWait(_) => (os.sync.sem_wait(tid, oid), vec![]),
-            SyncAction::SemPost(_) => (SyncResult::Proceed { value: None }, os.sync.sem_post(oid)),
-            SyncAction::BarrierWait(_) => os.sync.barrier_wait(tid, oid),
-            SyncAction::MboxPut(_, v) => os.sync.mbox_put(tid, oid, v),
-            SyncAction::MboxGet(_) => os.sync.mbox_get(tid, oid),
-        };
-        let wake_costs: Vec<(u32, u64)> = wakes
-            .iter()
-            .map(|w| {
-                let j = w.thread().0 as usize;
-                let costs = &self.os.as_ref().expect("os home").costs;
-                let c = match self.thread(j).placement {
-                    Placement::Software => costs.context_switch,
-                    Placement::Hardware => costs.delegate_wakeup + costs.osif_transfer,
-                };
-                (j as u32, c)
-            })
-            .collect();
-        // A blocked action completes upon wakeup (FIFO handoff), so the
-        // phase index always advances.
-        self.thread_mut(i).phase = if is_pre {
-            Phase::Pre(k + 1)
-        } else {
-            Phase::Post(k + 1)
-        };
-        for (j, c) in wake_costs {
-            self.push_ctrl(t + c, j, CtrlKind::Step);
-        }
-        match result {
-            SyncResult::Proceed { .. } => self.push_ctrl(t, i as u32, CtrlKind::Step),
-            SyncResult::Block => { /* the waker re-enqueues us */ }
         }
     }
 
@@ -863,8 +510,7 @@ impl<'d> ShardedSim<'d> {
                 }
             }
             CtrlKind::Step => match self.thread(i).phase {
-                Phase::Pre(k) => self.ctrl_sync(item.at, i, k, true),
-                Phase::Post(k) => self.ctrl_sync(item.at, i, k, false),
+                Phase::Pre(_) | Phase::Post(_) => sync_step(self, item.at, i),
                 // A step for a run-phase thread is an activation (restore
                 // routing, wake handoffs): deliver it into its shard.
                 Phase::Run => self.deliveries.push((item.at, item.thread)),
@@ -900,23 +546,21 @@ impl<'d> ShardedSim<'d> {
             let seq = self.next_seq;
             self.next_seq += 1;
             let sh = &mut self.shards[s];
-            shard_schedule_at(&mut sh.state, &mut sh.wheel, at.max(t), seq, i);
+            sh.state.steps.book_seq(&mut sh.wheel, at.max(t), seq, i);
         }
     }
 
     /// Executes one window `[t, e)` on every shard, in the configured
     /// mode. The OS migrates to shard 0 for the window's duration.
     fn run_windows(&mut self, e: Cycle) {
-        let fired_base = self.total_fired();
+        let fired_base = self.events_fired();
         let lane_base = self.next_seq;
-        let stride = self.n_shards as u64;
         // Each shard gets the full remaining event budget as its
         // deterministic cap: the authoritative total check happens at the
         // barrier, this only bounds a runaway single window.
         let budget = (self.cfg.max_events + 1).saturating_sub(fired_base).max(1);
         for (s, sh) in self.shards.iter_mut().enumerate() {
-            sh.state.next_seq = lane_base + s as u64;
-            sh.state.seq_stride = stride;
+            sh.state.steps.next_seq = lane_base + s as u64;
             sh.state.window_fired = 0;
             sh.state.window_budget = budget;
             sh.state.cap_hit = false;
@@ -942,7 +586,7 @@ impl<'d> ShardedSim<'d> {
         let lane_max = self
             .shards
             .iter()
-            .map(|sh| sh.state.next_seq)
+            .map(|sh| sh.state.steps.next_seq)
             .max()
             .unwrap_or(lane_base);
         self.next_seq = self.next_seq.max(lane_max);
@@ -987,10 +631,7 @@ impl<'d> ShardedSim<'d> {
                         continue;
                     }
                     for t in sh.state.threads.iter_mut().flatten() {
-                        match &mut t.body {
-                            Body::Hw(hw) => hw.memif_mut().mmu_mut().invalidate_page(asid, va),
-                            Body::Sw(sw) => sw.shootdown(asid, va),
-                        }
+                        t.body.shootdown(asid, va);
                         self.shootdowns += 1;
                     }
                 }
@@ -1062,40 +703,20 @@ impl<'d> ShardedSim<'d> {
             if let Some(err) = self.take_error() {
                 return Err(err);
             }
-            let fired = self.total_fired();
-            if fired > self.cfg.max_events {
-                let checkpoint = self.snapshot();
-                let n = self.owner.len();
-                return Err(SimError::EventLimit {
-                    cycle: self.clock.0,
-                    events: fired,
-                    runnable: (0..n)
-                        .filter(|&i| self.thread(i).phase != Phase::Done)
-                        .map(|i| self.thread(i).name.clone())
-                        .collect(),
-                    checkpoint: Some(checkpoint),
-                });
-            }
-            if self.cfg.thrash_fault_limit > 0 {
-                let os = self.os.as_ref().expect("os home");
-                let faults = os.hw_faults() + os.sw_faults();
-                if (self.clock - self.window_start).0 >= self.cfg.thrash_window {
-                    self.window_start = self.clock;
-                    self.window_base_faults = faults;
-                } else if faults - self.window_base_faults > self.cfg.thrash_fault_limit as u64 {
-                    let checkpoint = self.snapshot();
-                    return Err(SimError::Thrashing {
-                        thread: "system".to_string(),
-                        faults: faults - self.window_base_faults,
-                        window: self.cfg.thrash_window,
-                        checkpoint: Some(checkpoint),
-                    });
-                }
+            let fired = self.events_fired();
+            if let Some(e) = self.watchdog.check(
+                &self.cfg,
+                self.clock,
+                fired,
+                self.os.as_ref().expect("os home"),
+                homes(&self.shards, &self.owner),
+            ) {
+                return Err(with_checkpoint(e, || self.snapshot()));
             }
             if self.cfg.checkpoint_every > 0
-                && self.total_fired() - self.last_pause_events >= self.cfg.checkpoint_every
+                && self.events_fired() - self.last_pause_events >= self.cfg.checkpoint_every
             {
-                self.last_pause_events = self.total_fired();
+                self.last_pause_events = self.events_fired();
                 return Ok(RunProgress::Paused(self.snapshot()));
             }
         }
@@ -1112,7 +733,7 @@ impl<'d> ShardedSim<'d> {
     pub fn snapshot(&self) -> Checkpoint {
         let mut steps: Vec<(Cycle, u64, u32)> = Vec::new();
         for sh in &self.shards {
-            steps.extend_from_slice(&sh.state.pending_steps);
+            steps.extend_from_slice(&sh.state.steps.pending);
         }
         for &Reverse(it) in self.heap.iter() {
             steps.push((it.at, it.seq, it.thread));
@@ -1122,12 +743,12 @@ impl<'d> ShardedSim<'d> {
             .map(|&(at, _, _)| at)
             .min()
             .unwrap_or(self.clock);
-        let fired = self.total_fired();
+        let fired = self.events_fired();
         let n = self.owner.len();
-        let fault_streaks: Vec<Option<(u64, u32, Cycle)>> = (0..n)
+        let fault_streaks: Vec<FaultStreak> = (0..n)
             .map(|i| self.shards[self.owner[i]].state.fault_streaks[i])
             .collect();
-        let threads: Vec<&ThreadRt> = (0..n).map(|i| self.thread(i)).collect();
+        let threads: Vec<&ThreadRt> = homes(&self.shards, &self.owner).collect();
         let mems: Vec<&MemorySystem> = self.shards.iter().map(|s| &s.state.mem).collect();
         let mem = merged_memory(&self.canon, &mems, &self.ctr_bases, &self.master_owner);
         write_snapshot(
@@ -1138,8 +759,7 @@ impl<'d> ShardedSim<'d> {
                 // The serial invariant `scheduled == fired + pending`
                 // holds here too: neither engine cancels events.
                 scheduled: fired + steps.len() as u64,
-                window_start: self.window_start,
-                window_base_faults: self.window_base_faults,
+                watchdog: self.watchdog,
                 buffer_vas: &self.buffer_vas,
                 mem: &mem,
                 os: self.os.as_ref().expect("os home"),
@@ -1174,7 +794,18 @@ impl<'d> ShardedSim<'d> {
         mode: ExecMode,
         checkpoint: &Checkpoint,
     ) -> Result<ShardedSim<'d>, SimError> {
-        let parts = read_snapshot(design, checkpoint).map_err(SimError::Snapshot)?;
+        let parts = read_snapshot(design, checkpoint)?;
+        Ok(Self::from_parts(design, cfg, mode, parts))
+    }
+
+    /// Partitions a checkpointed position (the boot position for
+    /// [`new`](Self::new)) across the planned shards.
+    fn from_parts(
+        design: &'d SystemDesign,
+        cfg: &SimConfig,
+        mode: ExecMode,
+        parts: SnapshotParts,
+    ) -> ShardedSim<'d> {
         let p = plan(design, cfg);
         let n = parts.threads.len();
         let mut canon = parts.mem;
@@ -1194,24 +825,51 @@ impl<'d> ShardedSim<'d> {
             }
         }
 
-        let (mut shards, cal_bases, ctr_bases) =
-            Self::build_shards(&canon, &p, parts.threads, parts.fault_streaks, cfg);
-        for sh in &mut shards {
-            sh.wheel.restore_meta(parts.now, 0, 0);
+        let (mems, cal_bases, ctr_bases) = build_replicas(&canon, p.shards);
+        let mut slots: Vec<Vec<Option<ThreadRt>>> = (0..p.shards)
+            .map(|_| (0..n).map(|_| None).collect())
+            .collect();
+        for (i, t) in parts.threads.into_iter().enumerate() {
+            slots[p.owner[i]][i] = Some(t);
         }
+        let mut shards: Vec<Shard> = mems
+            .into_iter()
+            .zip(slots)
+            .map(|(mem, threads)| {
+                let mut wheel = Scheduler::with_capacity(n * 2 + 8);
+                wheel.restore_meta(parts.now, 0, 0);
+                let state = ShardState {
+                    mem,
+                    os: None,
+                    threads,
+                    quantum: cfg.quantum,
+                    retry_budget: cfg.fault_retry_budget,
+                    fault_streaks: parts.fault_streaks.clone(),
+                    steps: StepMirror::new(0, p.shards as u64),
+                    crossings: Vec::new(),
+                    error: None,
+                    window_fired: 0,
+                    window_budget: u64::MAX,
+                    cap_hit: false,
+                    local_shootdowns: 0,
+                    shootdown_out: Vec::new(),
+                };
+                Shard { state, wheel }
+            })
+            .collect();
         // Re-schedule in (time, seq) order so per-wheel insertion order
         // matches seq order — the invariant snapshots rely on.
         wheel_steps.sort_unstable_by_key(|&(at, seq, _)| (at, seq));
         for (at, seq, th) in wheel_steps {
             let i = th as usize;
             let sh = &mut shards[p.owner[i]];
-            shard_schedule_at(&mut sh.state, &mut sh.wheel, at, seq, i);
+            sh.state.steps.book_seq(&mut sh.wheel, at, seq, i);
         }
 
         let mut master_owner = vec![0usize; n + 1];
         master_owner[1..=n].copy_from_slice(&p.owner[..n]);
         let window = Self::window_len(cfg, &canon);
-        Ok(ShardedSim {
+        ShardedSim {
             design,
             cfg: *cfg,
             mode,
@@ -1234,8 +892,7 @@ impl<'d> ShardedSim<'d> {
             window,
             ctrl_fired: 0,
             base_fired: parts.fired,
-            window_start: parts.window_start,
-            window_base_faults: parts.window_base_faults,
+            watchdog: parts.watchdog,
             last_pause_events: parts.fired,
             cal_bases,
             ctr_bases,
@@ -1244,7 +901,7 @@ impl<'d> ShardedSim<'d> {
                 window_len: window,
                 ..ShardSyncStats::default()
             },
-        })
+        }
     }
 
     /// Consumes the simulation and assembles the outcome (with
@@ -1258,50 +915,56 @@ impl<'d> ShardedSim<'d> {
         if let Some(err) = self.take_error() {
             return Err(err);
         }
-        let n = self.owner.len();
-        if self.finished < n {
-            return Err(SimError::Deadlock {
-                blocked: (0..n)
-                    .filter(|&i| self.thread(i).phase != Phase::Done)
-                    .map(|i| self.thread(i).name.clone())
-                    .collect(),
-            });
-        }
         let mems: Vec<&MemorySystem> = self.shards.iter().map(|s| &s.state.mem).collect();
         let mem = merged_memory(&self.canon, &mems, &self.ctr_bases, &self.master_owner);
-        let mut rts: Vec<ThreadRt> = Vec::with_capacity(n);
-        for i in 0..n {
-            let s = self.owner[i];
-            rts.push(self.shards[s].state.threads[i].take().expect("thread home"));
-        }
-        let makespan = rts
-            .iter()
-            .filter_map(|t| t.end)
-            .max()
-            .unwrap_or(Cycle::ZERO);
-        let threads = rts
-            .into_iter()
-            .map(|t| ThreadMetrics {
-                name: t.name,
-                placement: t.placement,
-                start: t.start,
-                end: t.end.expect("all threads finished"),
-                ret: t.ret,
-                body: t.body,
-                stats: OnceCell::new(),
-            })
+        let threads = (0..self.owner.len())
+            .map(|i| self.shards[self.owner[i]].state.threads[i].take())
+            .map(|t| t.expect("thread home"))
             .collect();
-        Ok(SimOutcome {
-            makespan,
+        outcome(
             threads,
-            stats: OnceCell::new(),
-            buffer_vas: self.buffer_vas,
+            self.buffer_vas,
             mem,
-            os: self.os.take().expect("os home"),
-            asid: self.asid,
-            shootdowns: self.shootdowns,
-            sync: Some(self.sync_stats),
-        })
+            self.os.take().expect("os home"),
+            self.asid,
+            self.shootdowns,
+            Some(self.sync_stats),
+        )
+    }
+}
+
+/// Every thread runtime in application order, each from its home shard.
+fn homes<'a>(shards: &'a [Shard], owner: &'a [usize]) -> impl Iterator<Item = &'a ThreadRt> {
+    owner
+        .iter()
+        .enumerate()
+        .map(|(i, &s)| shards[s].state.threads[i].as_ref().expect("thread home"))
+}
+
+/// The coordinator as a sync-script host: follow-ups go on the control
+/// queue, and a thread entering its run phase is delivered into its shard
+/// before the next window.
+impl SyncHost for ShardedSim<'_> {
+    fn thread(&mut self, i: usize) -> &mut ThreadRt {
+        self.shards[self.owner[i]].state.threads[i]
+            .as_mut()
+            .expect("thread home")
+    }
+
+    fn os(&mut self) -> (&mut Os, &[u32]) {
+        (self.os.as_mut().expect("os home"), &self.sync_ids)
+    }
+
+    fn book(&mut self, at: Cycle, i: usize) {
+        self.push_ctrl(at, i as u32, CtrlKind::Step);
+    }
+
+    fn retire(&mut self) {
+        self.finished += 1;
+    }
+
+    fn enter_run(&mut self, at: Cycle, i: usize) {
+        self.deliveries.push((at, i as u32));
     }
 }
 

@@ -11,20 +11,23 @@
 use std::cell::OnceCell;
 use std::sync::Arc;
 
-use svmsyn_hwt::thread::{HwStep, HwThread, HwThreadConfig};
+use svmsyn_hwt::thread::{HwThread, HwThreadConfig};
 use svmsyn_mem::{MasterId, MemorySystem, VirtAddr};
 use svmsyn_os::addrspace::{OsError, Sigsegv};
-use svmsyn_os::cpu::{SliceEnd, SwExec, SwExecConfig};
+use svmsyn_os::cpu::{SwExec, SwExecConfig};
 use svmsyn_os::os::Os;
-use svmsyn_os::sync::{SyncResult, ThreadId, Wake};
+use svmsyn_os::sync::ThreadId;
 use svmsyn_sim::{Cycle, Scheduler, StatSet};
 use svmsyn_snap::{Snap, SnapError, SnapReader, SnapWriter};
-use svmsyn_vm::mmu::Access;
 use svmsyn_vm::tlb::Asid;
 
 use crate::app::{SyncAction, SyncSpec};
 use crate::checkpoint::{design_fingerprint, Checkpoint};
 use crate::flow::{Placement, SystemDesign};
+use crate::step::{
+    outcome, run_phase, sync_step, with_checkpoint, FaultStreak, RunParts, StepMirror, StepModel,
+    SyncHost, Watchdog,
+};
 
 /// Snapshot image format version this binary writes and understands.
 /// Bumped whenever the payload layout changes; images from other versions
@@ -244,10 +247,7 @@ impl ThreadMetrics {
     /// map, which is measurable overhead for sweeps that only read the
     /// makespan (DSE evaluates thousands of runs).
     pub fn stats(&self) -> &StatSet {
-        self.stats.get_or_init(|| match &self.body {
-            Body::Sw(sw) => sw.stats(),
-            Body::Hw(hw) => hw.stats(),
-        })
+        self.stats.get_or_init(|| self.body.stats())
     }
 }
 
@@ -458,6 +458,25 @@ pub(crate) enum Body {
     Hw(HwThread),
 }
 
+impl Body {
+    /// The body's own counters (MEMIF/MMU or cache/TLB absorbed).
+    fn stats(&self) -> StatSet {
+        match self {
+            Body::Sw(sw) => sw.stats(),
+            Body::Hw(hw) => hw.stats(),
+        }
+    }
+
+    /// Applies one reclaim shootdown: a hardware thread's MMU (TLB + walk
+    /// caches) or a software thread's CPU TLB drops the page.
+    pub(crate) fn shootdown(&mut self, asid: Asid, va: VirtAddr) {
+        match self {
+            Body::Hw(hw) => hw.memif_mut().mmu_mut().invalidate_page(asid, va),
+            Body::Sw(sw) => sw.shootdown(asid, va),
+        }
+    }
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Phase {
     Pre(usize),
@@ -489,279 +508,106 @@ pub(crate) struct SystemState {
     pub(crate) quantum: u64,
     pub(crate) finished: usize,
     pub(crate) error: Option<SimError>,
-    /// Per-hardware-thread consecutive-fault streak `(mem_ops_issued,
-    /// count, first)`; cleared on any step that makes progress.
-    pub(crate) fault_streaks: Vec<Option<(u64, u32, Cycle)>>,
+    /// Per-hardware-thread consecutive-fault streaks.
+    pub(crate) fault_streaks: Vec<FaultStreak>,
     /// Per-access fault-retry budget (0 = disabled).
     pub(crate) retry_budget: u32,
     /// Per-target TLB shootdowns broadcast so far.
     pub(crate) shootdowns: u64,
-    /// Mirror of every scheduler-resident step event `(fire time, insertion
-    /// sequence, thread)`. The scheduler's closures cannot be serialized,
-    /// but every event in this system is "step thread `i` at cycle `t`", so
-    /// the snapshot records this registry instead and restore re-schedules
-    /// equivalent closures in original insertion order. Each closure
-    /// unregisters its own entry as it fires.
-    pub(crate) pending_steps: Vec<(Cycle, u64, u32)>,
-    /// Monotonic insertion counter backing `pending_steps` ordering.
-    pub(crate) next_step_seq: u64,
+    /// Mirror of the wheel's pending step events (seq stride 1).
+    pub(crate) steps: StepMirror,
 }
 
 /// Broadcasts the OS's queued reclaim shootdowns to every hardware MMU
 /// (TLB + walk caches) and software CPU TLB — pressure made visible as
-/// invalidation storms.
-fn drain_shootdowns(state: &mut SystemState) {
-    let pending = state.os.take_shootdowns();
-    for (asid, va) in pending {
-        for t in &mut state.threads {
-            match &mut t.body {
-                Body::Hw(hw) => hw.memif_mut().mmu_mut().invalidate_page(asid, va),
-                Body::Sw(sw) => sw.shootdown(asid, va),
-            }
-            state.shootdowns += 1;
+/// invalidation storms. Returns the per-target shootdowns applied.
+fn drain_shootdowns(os: &mut Os, threads: &mut [ThreadRt]) -> u64 {
+    let mut applied = 0;
+    for (asid, va) in os.take_shootdowns() {
+        for t in threads.iter_mut() {
+            t.body.shootdown(asid, va);
+            applied += 1;
         }
     }
+    applied
 }
 
 type Sched = Scheduler<SystemState>;
 
-/// Drops `seq` from the pending-step mirror (as its event fires). Order in
-/// the mirror is irrelevant — snapshot sorts by `(time, seq)` — so the
-/// removal is a swap.
-fn unregister_step(state: &mut SystemState, seq: u64) {
-    if let Some(idx) = state.pending_steps.iter().position(|&(_, s, _)| s == seq) {
-        state.pending_steps.swap_remove(idx);
+/// The serial engine's wheel model: every follow-up goes on its one wheel,
+/// and hardware page faults are serviced inline at the faulting cycle.
+impl StepModel for SystemState {
+    fn steps(&mut self) -> &mut StepMirror {
+        &mut self.steps
     }
-}
 
-fn schedule_step(state: &mut SystemState, sched: &mut Sched, at: Cycle, i: usize) {
-    let seq = state.next_step_seq;
-    state.next_step_seq += 1;
-    state.pending_steps.push((at, seq, i as u32));
-    sched.schedule_at(at, move |state: &mut SystemState, sched: &mut Sched| {
-        unregister_step(state, seq);
-        step_thread(state, sched, i)
-    });
-}
-
-/// Completion delivery for a parked thread: wakes it at the fill's exact
-/// completion cycle (clamped to `now` if the completion already elapsed
-/// while the thread was descheduled — `schedule_wake`'s contract). The
-/// mirror records the *clamped* time: that is the cycle the wheel actually
-/// holds, and the one restore must re-schedule at.
-fn schedule_wake_step(state: &mut SystemState, sched: &mut Sched, wake: Cycle, i: usize) {
-    let seq = state.next_step_seq;
-    state.next_step_seq += 1;
-    state
-        .pending_steps
-        .push((wake.max(sched.now()), seq, i as u32));
-    sched.schedule_wake(wake, move |state: &mut SystemState, sched: &mut Sched| {
-        unregister_step(state, seq);
-        step_thread(state, sched, i)
-    });
-}
-
-fn wake_cost(state: &SystemState, j: usize) -> u64 {
-    match state.threads[j].placement {
-        Placement::Software => state.os.costs.context_switch,
-        Placement::Hardware => state.os.costs.delegate_wakeup + state.os.costs.osif_transfer,
-    }
-}
-
-fn apply_wakes(state: &mut SystemState, sched: &mut Sched, wakes: &[Wake], at: Cycle) {
-    for w in wakes {
-        let j = w.thread().0 as usize;
-        let cost = wake_cost(state, j);
-        schedule_step(state, sched, at + cost, j);
-    }
-}
-
-fn handle_sync(state: &mut SystemState, sched: &mut Sched, i: usize, k: usize, is_pre: bool) {
-    let now = sched.now();
-    let actions = if is_pre {
-        state.threads[i].pre.clone()
-    } else {
-        state.threads[i].post.clone()
-    };
-    if k >= actions.len() {
-        if is_pre {
-            state.threads[i].phase = Phase::Run;
-            schedule_step(state, sched, now, i);
-        } else {
-            state.threads[i].phase = Phase::Done;
-            state.threads[i].end = Some(now);
-            state.finished += 1;
+    fn step(&mut self, sched: &mut Sched, i: usize) {
+        if self.error.is_some() {
+            return;
         }
-        return;
+        match self.threads[i].phase {
+            Phase::Pre(_) | Phase::Post(_) => {
+                let now = sched.now();
+                sync_step(&mut SerialSync(self, sched), now, i);
+            }
+            Phase::Run => run_phase(self, sched, i),
+            Phase::Done => {}
+        }
     }
-    let action = actions[k];
-    let cost = match state.threads[i].placement {
-        Placement::Hardware => state.os.costs.osif_call_total(),
-        Placement::Software => state.os.costs.syscall,
-    };
-    let t = now + cost;
-    let tid = ThreadId(i as u32);
-    let oid = state.sync_ids[action.object()];
-    let (result, wakes) = match action {
-        SyncAction::MutexLock(_) => (state.os.sync.mutex_lock(tid, oid), vec![]),
-        SyncAction::MutexUnlock(_) => (
-            SyncResult::Proceed { value: None },
-            state.os.sync.mutex_unlock(tid, oid),
-        ),
-        SyncAction::SemWait(_) => (state.os.sync.sem_wait(tid, oid), vec![]),
-        SyncAction::SemPost(_) => (
-            SyncResult::Proceed { value: None },
-            state.os.sync.sem_post(oid),
-        ),
-        SyncAction::BarrierWait(_) => state.os.sync.barrier_wait(tid, oid),
-        SyncAction::MboxPut(_, v) => state.os.sync.mbox_put(tid, oid, v),
-        SyncAction::MboxGet(_) => state.os.sync.mbox_get(tid, oid),
-    };
-    // A blocked action completes upon wakeup (FIFO handoff semantics), so
-    // the phase index always advances.
-    state.threads[i].phase = if is_pre {
-        Phase::Pre(k + 1)
-    } else {
-        Phase::Post(k + 1)
-    };
-    apply_wakes(state, sched, &wakes, t);
-    match result {
-        SyncResult::Proceed { .. } => schedule_step(state, sched, t, i),
-        SyncResult::Block => { /* the waker reschedules us */ }
+
+    fn run_parts(&mut self, i: usize) -> RunParts<'_> {
+        RunParts {
+            rt: &mut self.threads[i],
+            streak: &mut self.fault_streaks[i],
+            mem: &mut self.mem,
+            os: Some(&mut self.os),
+            quantum: self.quantum,
+            retry_budget: self.retry_budget,
+        }
     }
-}
 
-enum BodyOutcome {
-    Reschedule(Cycle),
-    /// A hardware thread parked on an outstanding miss: wake at exactly
-    /// the fill's completion cycle via the scheduler's wake path.
-    Wake(Cycle),
-    Finished(Option<i64>, Cycle),
-    Fault(Sigsegv),
-    /// One access refaulted past the retry budget: the run is thrashing.
-    Thrash {
-        faults: u64,
-        window: u64,
-    },
-}
-
-fn run_body(state: &mut SystemState, sched: &mut Sched, i: usize) {
-    let now = sched.now();
-    let quantum = state.quantum;
-    let asid = state.asid;
-    let outcome = {
-        let SystemState {
-            mem,
-            os,
-            threads,
-            fault_streaks,
-            retry_budget,
-            ..
-        } = &mut *state;
-        let rt = &mut threads[i];
-        match &mut rt.body {
-            Body::Hw(hw) => match hw.advance(mem, now, quantum) {
-                HwStep::Yielded { now } => {
-                    fault_streaks[i] = None;
-                    BodyOutcome::Reschedule(now)
-                }
-                // Event-driven completion delivery: the thread parked a
-                // dependent micro-op on an outstanding miss; the timing
-                // wheel wakes it at the fill's exact completion cycle.
-                HwStep::Parked { wake } => {
-                    fault_streaks[i] = None;
-                    BodyOutcome::Wake(wake)
-                }
-                HwStep::PageFault { fault, now } => {
-                    // A fault with no memory op issued since the previous
-                    // one is a retry that lost its frames again (faulted
-                    // issues don't re-count on retry). Past the budget the
-                    // access can never complete — stop instead of spinning
-                    // to max_events.
-                    let issued = hw.mem_ops_issued();
-                    let (count, first) = match &mut fault_streaks[i] {
-                        Some((at, c, f)) if *at == issued => {
-                            *c += 1;
-                            (*c, *f)
-                        }
-                        s => {
-                            *s = Some((issued, 1, now));
-                            (1, now)
-                        }
-                    };
-                    if *retry_budget > 0 && count > *retry_budget {
-                        BodyOutcome::Thrash {
-                            faults: count as u64,
-                            window: (now - first).0,
-                        }
-                    } else {
-                        let write = fault.access() == Access::Write;
-                        match os.service_fault(asid, fault.va(), write, true, mem, now) {
-                            Ok(done) => BodyOutcome::Reschedule(done),
-                            Err(segv) => BodyOutcome::Fault(segv),
-                        }
-                    }
-                }
-                HwStep::Finished { ret, now } => {
-                    fault_streaks[i] = None;
-                    BodyOutcome::Finished(ret, now)
-                }
-            },
-            Body::Sw(sw) => {
-                // Reserve a CPU window, then execute inside it.
-                let (start, _) = os.cpus.run_slice(ThreadId(i as u32), now, quantum);
-                match sw.run_slice(os, mem, start, quantum) {
-                    Ok((end, SliceEnd::Finished { ret })) => BodyOutcome::Finished(ret, end),
-                    Ok((end, SliceEnd::BudgetExhausted)) => BodyOutcome::Reschedule(end),
-                    Err(segv) => BodyOutcome::Fault(segv),
-                }
+    fn fault(&mut self, sched: &mut Sched, i: usize, at: Cycle, va: VirtAddr, write: bool) {
+        match self
+            .os
+            .service_fault(self.asid, va, write, true, &mut self.mem, at)
+        {
+            Ok(done) => self.steps.book(sched, done, i),
+            Err(fault) => {
+                let thread = self.threads[i].name.clone();
+                self.fail(sched, at, SimError::Segv { thread, fault });
             }
         }
-    };
-    match outcome {
-        BodyOutcome::Reschedule(at) => schedule_step(state, sched, at, i),
-        BodyOutcome::Wake(wake) => schedule_wake_step(state, sched, wake, i),
-        BodyOutcome::Finished(ret, at) => {
-            let rt = &mut state.threads[i];
-            rt.ret = ret;
-            rt.phase = Phase::Post(0);
-            schedule_step(state, sched, at, i);
-        }
-        BodyOutcome::Fault(segv) => {
-            state.error = Some(SimError::Segv {
-                thread: state.threads[i].name.clone(),
-                fault: segv,
-            });
-            sched.halt();
-        }
-        BodyOutcome::Thrash { faults, window } => {
-            // Re-arm the faulting thread at `now` before halting: the
-            // checkpoint attached to this error then has a runnable thread,
-            // so restoring it under a raised `fault_retry_budget` (or
-            // watchdog limit) retries the access instead of wedging. The
-            // fault streak is preserved in the snapshot, so a resume under
-            // the *same* budget deterministically trips again.
-            schedule_step(state, sched, now, i);
-            state.error = Some(SimError::Thrashing {
-                thread: state.threads[i].name.clone(),
-                faults,
-                window,
-                checkpoint: None,
-            });
-            sched.halt();
-        }
+    }
+
+    fn finished(&mut self, sched: &mut Sched, i: usize, at: Cycle) {
+        self.steps.book(sched, at, i);
+    }
+
+    fn fail(&mut self, sched: &mut Sched, _at: Cycle, error: SimError) {
+        self.error = Some(error);
+        sched.halt();
     }
 }
 
-fn step_thread(state: &mut SystemState, sched: &mut Sched, i: usize) {
-    if state.error.is_some() {
-        return;
+/// The serial engine as a sync-script host: script steps, wakes, and
+/// run-phase entries all book on its one wheel.
+struct SerialSync<'a>(&'a mut SystemState, &'a mut Sched);
+
+impl SyncHost for SerialSync<'_> {
+    fn thread(&mut self, i: usize) -> &mut ThreadRt {
+        &mut self.0.threads[i]
     }
-    match state.threads[i].phase {
-        Phase::Pre(k) => handle_sync(state, sched, i, k, true),
-        Phase::Run => run_body(state, sched, i),
-        Phase::Post(k) => handle_sync(state, sched, i, k, false),
-        Phase::Done => {}
+
+    fn os(&mut self) -> (&mut Os, &[u32]) {
+        (&mut self.0.os, &self.0.sync_ids)
+    }
+
+    fn book(&mut self, at: Cycle, i: usize) {
+        self.0.steps.book(self.1, at, i);
+    }
+
+    fn retire(&mut self) {
+        self.0.finished += 1;
     }
 }
 
@@ -790,10 +636,7 @@ pub struct Sim<'d> {
     state: SystemState,
     sched: Sched,
     buffer_vas: Vec<VirtAddr>,
-    /// Fault-rate watchdog: window anchor cycle.
-    window_start: Cycle,
-    /// Fault-rate watchdog: faults observed at the window anchor.
-    window_base_faults: u64,
+    watchdog: Watchdog,
     /// Events fired at the last `checkpoint_every` pause.
     last_pause_events: u64,
 }
@@ -819,38 +662,75 @@ impl<'d> Sim<'d> {
     /// Returns [`SimError::Os`] when setup fails (e.g. out of memory for
     /// buffers).
     pub fn new(design: &'d SystemDesign, cfg: &SimConfig) -> Result<Sim<'d>, SimError> {
-        let (mut state, buffer_vas) = boot_system(design, cfg)?;
-        // One step event per live thread is in flight at a time, plus wake
-        // events: size the slab once so the hot loop never reallocates it.
-        let mut sched: Sched = Scheduler::with_capacity(state.threads.len() * 2 + 8);
-        for i in 0..state.threads.len() {
-            let start = state.threads[i].start;
-            schedule_step(&mut state, &mut sched, start, i);
-        }
+        Ok(Sim::from_parts(design, cfg, boot_system(design)?))
+    }
 
-        Ok(Sim {
+    /// Builds the engine at a checkpointed position (the boot position for
+    /// [`new`](Self::new)).
+    fn from_parts(design: &'d SystemDesign, cfg: &SimConfig, parts: SnapshotParts) -> Sim<'d> {
+        let SnapshotParts {
+            now,
+            fired,
+            scheduled,
+            watchdog,
+            buffer_vas,
+            mem,
+            os,
+            asid,
+            sync_ids,
+            finished,
+            fault_streaks,
+            shootdowns,
+            threads,
+            next_step_seq,
+            mut steps,
+        } = parts;
+        let mut state = SystemState {
+            mem,
+            os,
+            asid,
+            threads,
+            sync_ids,
+            quantum: cfg.quantum,
+            finished,
+            error: None,
+            fault_streaks,
+            retry_budget: cfg.fault_retry_budget,
+            shootdowns,
+            steps: StepMirror::new(next_step_seq, 1),
+        };
+        // Rebuild the wheel: rewind the counters to the checkpoint minus
+        // the events about to be re-added, then re-schedule in original
+        // insertion order — `(time, seq)` — so same-cycle FIFO order (and
+        // therefore the entire future event sequence) is reproduced
+        // exactly. One step event per live thread is in flight at a time,
+        // plus wake events: size the slab once so the hot loop never
+        // reallocates it.
+        let mut sched: Sched = Scheduler::with_capacity(state.threads.len() * 2 + 8);
+        sched.restore_meta(now, fired, scheduled - steps.len() as u64);
+        steps.sort_unstable_by_key(|&(at, seq, _)| (at, seq));
+        for (at, seq, t) in steps {
+            state.steps.book_seq(&mut sched, at, seq, t as usize);
+        }
+        Sim {
             design,
             cfg: *cfg,
             state,
             sched,
             buffer_vas,
-            window_start: Cycle::ZERO,
-            window_base_faults: 0,
-            last_pause_events: 0,
-        })
+            watchdog,
+            last_pause_events: fired,
+        }
     }
 }
 
 /// Boots the OS, maps the application's buffers, creates the sync objects,
 /// and instantiates every thread — the design-to-system elaboration shared
 /// by the serial engine ([`Sim::new`]) and the sharded coordinator
-/// ([`crate::shard`]). Returns the booted [`SystemState`] with no events
-/// scheduled yet (`pending_steps` empty, `next_step_seq` 0) plus the buffer
-/// base addresses.
-pub(crate) fn boot_system(
-    design: &SystemDesign,
-    cfg: &SimConfig,
-) -> Result<(SystemState, Vec<VirtAddr>), SimError> {
+/// ([`crate::shard`]). Returns the booted system as the parts of a
+/// position-zero checkpoint: every thread in its pre-sync phase, with one
+/// step pending at its spawn cycle.
+pub(crate) fn boot_system(design: &SystemDesign) -> Result<SnapshotParts, SimError> {
     let app = &design.app;
     let platform = &design.platform;
     let mut mem = MemorySystem::new(platform.mem.clone());
@@ -937,27 +817,31 @@ pub(crate) fn boot_system(
         });
     }
 
-    let n_threads = threads.len();
-    let mut state = SystemState {
-        mem,
-        os,
-        asid,
-        threads,
-        sync_ids,
-        quantum: cfg.quantum,
-        finished: 0,
-        error: None,
-        fault_streaks: vec![None; n_threads],
-        retry_budget: cfg.fault_retry_budget,
-        shootdowns: 0,
-        pending_steps: Vec::new(),
-        next_step_seq: 0,
-    };
     // Setup-time population/copy-in may already have reclaimed under a
     // tight frame budget; broadcast those shootdowns before anything
     // runs.
-    drain_shootdowns(&mut state);
-    Ok((state, buffer_vas))
+    let shootdowns = drain_shootdowns(&mut os, &mut threads);
+    let n = threads.len();
+    let steps: Vec<(Cycle, u64, u32)> = (0..n)
+        .map(|i| (threads[i].start, i as u64, i as u32))
+        .collect();
+    Ok(SnapshotParts {
+        now: Cycle::ZERO,
+        fired: 0,
+        scheduled: n as u64,
+        watchdog: Watchdog::default(),
+        buffer_vas,
+        mem,
+        os,
+        asid,
+        sync_ids,
+        finished: 0,
+        fault_streaks: vec![None; n],
+        shootdowns,
+        threads,
+        next_step_seq: n as u64,
+        steps,
+    })
 }
 
 impl<'d> Sim<'d> {
@@ -984,15 +868,8 @@ impl<'d> Sim<'d> {
     /// `*_utilization`) are only meaningful cumulatively, which is why the
     /// set also carries their raw numerator counters.
     pub fn live_stats(&self) -> StatSet {
-        let thread_stats: Vec<StatSet> = self
-            .state
-            .threads
-            .iter()
-            .map(|t| match &t.body {
-                Body::Sw(sw) => sw.stats(),
-                Body::Hw(hw) => hw.stats(),
-            })
-            .collect();
+        let thread_stats: Vec<StatSet> =
+            self.state.threads.iter().map(|t| t.body.stats()).collect();
         assemble_stats(
             self.sched.now(),
             thread_stats.iter(),
@@ -1043,69 +920,26 @@ impl<'d> Sim<'d> {
     /// Post-event bookkeeping: shootdown broadcast, event cap, fault-rate
     /// watchdog. Returns `false` when the run must stop (an error was set).
     fn after_step(&mut self) -> bool {
-        drain_shootdowns(&mut self.state);
-        if self.sched.events_fired() > self.cfg.max_events {
-            // Snapshot *before* setting the error: the image never contains
-            // an error state, only the resumable position at the limit.
-            let checkpoint = self.snapshot();
-            self.state.error = Some(SimError::EventLimit {
-                cycle: self.sched.now().0,
-                events: self.sched.events_fired(),
-                runnable: self
-                    .state
-                    .threads
-                    .iter()
-                    .filter(|t| t.phase != Phase::Done)
-                    .map(|t| t.name.clone())
-                    .collect(),
-                checkpoint: Some(checkpoint),
-            });
+        self.state.shootdowns += drain_shootdowns(&mut self.state.os, &mut self.state.threads);
+        let tripped = self.watchdog.check(
+            &self.cfg,
+            self.sched.now(),
+            self.sched.events_fired(),
+            &self.state.os,
+            &self.state.threads,
+        );
+        if tripped.is_some() {
+            self.state.error = tripped;
             return false;
-        }
-        if self.cfg.thrash_fault_limit > 0 {
-            let now = self.sched.now();
-            let faults = self.state.os.hw_faults() + self.state.os.sw_faults();
-            if (now - self.window_start).0 >= self.cfg.thrash_window {
-                self.window_start = now;
-                self.window_base_faults = faults;
-            } else if faults - self.window_base_faults > self.cfg.thrash_fault_limit as u64 {
-                // No single thread owns a system-wide fault storm. The
-                // watchdog trips between events, so the pending steps are
-                // intact and the checkpoint resumes under a raised limit.
-                let checkpoint = self.snapshot();
-                self.state.error = Some(SimError::Thrashing {
-                    thread: "system".to_string(),
-                    faults: faults - self.window_base_faults,
-                    window: self.cfg.thrash_window,
-                    checkpoint: Some(checkpoint),
-                });
-                return false;
-            }
         }
         true
     }
 
-    /// Attaches a checkpoint to a budget-exhaustion error raised *inside*
-    /// an event (the per-access thrash trip), where the snapshot could not
-    /// be taken at error-construction time.
-    fn attach_checkpoint(&self, e: SimError) -> SimError {
-        match e {
-            SimError::Thrashing {
-                thread,
-                faults,
-                window,
-                checkpoint: None,
-            } => {
-                let checkpoint = self.snapshot();
-                SimError::Thrashing {
-                    thread,
-                    faults,
-                    window,
-                    checkpoint: Some(checkpoint),
-                }
-            }
-            other => other,
-        }
+    /// Takes the pending error, with the checkpoint of the current position
+    /// attached to a budget trip.
+    fn take_error(&mut self) -> Option<SimError> {
+        let e = self.state.error.take()?;
+        Some(with_checkpoint(e, || self.snapshot()))
     }
 
     /// Runs until completion, an error, or (with `checkpoint_every` set) a
@@ -1128,8 +962,8 @@ impl<'d> Sim<'d> {
                 return Ok(RunProgress::Paused(self.snapshot()));
             }
         }
-        if let Some(e) = self.state.error.take() {
-            return Err(self.attach_checkpoint(e));
+        if let Some(e) = self.take_error() {
+            return Err(e);
         }
         Ok(RunProgress::Complete)
     }
@@ -1157,8 +991,8 @@ impl<'d> Sim<'d> {
                 break;
             }
         }
-        if let Some(e) = self.state.error.take() {
-            return Err(self.attach_checkpoint(e));
+        if let Some(e) = self.take_error() {
+            return Err(e);
         }
         Ok(self.sched.pending() > 0)
     }
@@ -1178,8 +1012,7 @@ impl<'d> Sim<'d> {
                 now: self.sched.now(),
                 fired: self.sched.events_fired(),
                 scheduled: self.sched.events_scheduled(),
-                window_start: self.window_start,
-                window_base_faults: self.window_base_faults,
+                watchdog: self.watchdog,
                 buffer_vas: &self.buffer_vas,
                 mem: &s.mem,
                 os: &s.os,
@@ -1189,8 +1022,8 @@ impl<'d> Sim<'d> {
                 fault_streaks: s.fault_streaks.clone(),
                 shootdowns: s.shootdowns,
                 threads: s.threads.iter().collect(),
-                next_step_seq: s.next_step_seq,
-                steps: s.pending_steps.clone(),
+                next_step_seq: s.steps.next_seq,
+                steps: s.steps.pending.clone(),
             },
         )
     }
@@ -1210,74 +1043,8 @@ impl<'d> Sim<'d> {
         cfg: &SimConfig,
         checkpoint: &Checkpoint,
     ) -> Result<Sim<'d>, SimError> {
-        Sim::restore_inner(design, cfg, checkpoint).map_err(SimError::Snapshot)
-    }
-
-    fn restore_inner(
-        design: &'d SystemDesign,
-        cfg: &SimConfig,
-        checkpoint: &Checkpoint,
-    ) -> Result<Sim<'d>, SnapError> {
-        let SnapshotParts {
-            now,
-            fired,
-            scheduled,
-            window_start,
-            window_base_faults,
-            buffer_vas,
-            mem,
-            os,
-            asid,
-            sync_ids,
-            finished,
-            fault_streaks,
-            shootdowns,
-            threads,
-            next_step_seq,
-            mut steps,
-        } = read_snapshot(design, checkpoint)?;
-        let mut state = SystemState {
-            mem,
-            os,
-            asid,
-            threads,
-            sync_ids,
-            quantum: cfg.quantum,
-            finished,
-            error: None,
-            fault_streaks,
-            retry_budget: cfg.fault_retry_budget,
-            shootdowns,
-            pending_steps: Vec::with_capacity(steps.len()),
-            next_step_seq,
-        };
-        // Rebuild the wheel: rewind the counters to the checkpoint minus
-        // the events about to be re-added, then re-schedule in original
-        // insertion order — `(time, seq)` — so same-cycle FIFO order (and
-        // therefore the entire future event sequence) is reproduced
-        // exactly.
-        let mut sched: Sched = Scheduler::with_capacity(state.threads.len() * 2 + 8);
-        sched.restore_meta(now, fired, scheduled - steps.len() as u64);
-        steps.sort_unstable_by_key(|&(at, seq, _)| (at, seq));
-        for &(at, seq, t) in &steps {
-            let i = t as usize;
-            state.pending_steps.push((at, seq, t));
-            sched.schedule_at(at, move |state: &mut SystemState, sched: &mut Sched| {
-                unregister_step(state, seq);
-                step_thread(state, sched, i)
-            });
-        }
-
-        Ok(Sim {
-            design,
-            cfg: *cfg,
-            state,
-            sched,
-            buffer_vas,
-            window_start,
-            window_base_faults,
-            last_pause_events: fired,
-        })
+        let parts = read_snapshot(design, checkpoint)?;
+        Ok(Sim::from_parts(design, cfg, parts))
     }
 
     /// Consumes the simulation and assembles the outcome. Call after
@@ -1288,54 +1055,19 @@ impl<'d> Sim<'d> {
     /// Returns [`SimError::Deadlock`] when threads remain blocked on
     /// synchronization (the no-events-left completion's failure shape).
     pub fn finish(mut self) -> Result<SimOutcome, SimError> {
-        if let Some(e) = self.state.error.take() {
-            return Err(self.attach_checkpoint(e));
+        if let Some(e) = self.take_error() {
+            return Err(e);
         }
-        if self.state.finished < self.state.threads.len() {
-            return Err(SimError::Deadlock {
-                blocked: self
-                    .state
-                    .threads
-                    .iter()
-                    .filter(|t| t.phase != Phase::Done)
-                    .map(|t| t.name.clone())
-                    .collect(),
-            });
-        }
-
-        let makespan = self
-            .state
-            .threads
-            .iter()
-            .filter_map(|t| t.end)
-            .max()
-            .unwrap_or(Cycle::ZERO);
-        let threads = self
-            .state
-            .threads
-            .into_iter()
-            .map(|t| ThreadMetrics {
-                name: t.name,
-                placement: t.placement,
-                start: t.start,
-                end: t.end.expect("all threads finished"),
-                ret: t.ret,
-                body: t.body,
-                stats: OnceCell::new(),
-            })
-            .collect();
-
-        Ok(SimOutcome {
-            makespan,
-            threads,
-            stats: OnceCell::new(),
-            buffer_vas: self.buffer_vas,
-            mem: self.state.mem,
-            os: self.state.os,
-            asid: self.state.asid,
-            shootdowns: self.state.shootdowns,
-            sync: None,
-        })
+        let s = self.state;
+        outcome(
+            s.threads,
+            self.buffer_vas,
+            s.mem,
+            s.os,
+            s.asid,
+            s.shootdowns,
+            None,
+        )
     }
 }
 
@@ -1370,15 +1102,14 @@ pub(crate) struct SnapshotView<'a> {
     pub(crate) now: Cycle,
     pub(crate) fired: u64,
     pub(crate) scheduled: u64,
-    pub(crate) window_start: Cycle,
-    pub(crate) window_base_faults: u64,
+    pub(crate) watchdog: Watchdog,
     pub(crate) buffer_vas: &'a [VirtAddr],
     pub(crate) mem: &'a MemorySystem,
     pub(crate) os: &'a Os,
     pub(crate) asid: Asid,
     pub(crate) sync_ids: &'a [u32],
     pub(crate) finished: usize,
-    pub(crate) fault_streaks: Vec<Option<(u64, u32, Cycle)>>,
+    pub(crate) fault_streaks: Vec<FaultStreak>,
     pub(crate) shootdowns: u64,
     /// Thread runtimes in application order.
     pub(crate) threads: Vec<&'a ThreadRt>,
@@ -1397,8 +1128,8 @@ pub(crate) fn write_snapshot(design: &SystemDesign, v: SnapshotView<'_>) -> Chec
     w.put_u64(v.fired);
     w.put_u64(v.scheduled);
     // Fault-rate watchdog anchor.
-    w.put_u64(v.window_start.0);
-    w.put_u64(v.window_base_faults);
+    w.put_u64(v.watchdog.start.0);
+    w.put_u64(v.watchdog.base_faults);
     // Address-space layout.
     let vas: Vec<u64> = v.buffer_vas.iter().map(|b| b.0).collect();
     vas.save(&mut w);
@@ -1448,22 +1179,21 @@ pub(crate) fn write_snapshot(design: &SystemDesign, v: SnapshotView<'_>) -> Chec
     ))
 }
 
-/// Everything [`read_snapshot`] parses out of a checkpoint image — the
-/// owned counterpart of [`SnapshotView`], ready for either engine to
-/// rebuild from.
+/// Everything [`read_snapshot`] parses out of a checkpoint image (or
+/// [`boot_system`] builds for the boot position) — the owned counterpart
+/// of [`SnapshotView`], ready for either engine to build from.
 pub(crate) struct SnapshotParts {
     pub(crate) now: Cycle,
     pub(crate) fired: u64,
     pub(crate) scheduled: u64,
-    pub(crate) window_start: Cycle,
-    pub(crate) window_base_faults: u64,
+    pub(crate) watchdog: Watchdog,
     pub(crate) buffer_vas: Vec<VirtAddr>,
     pub(crate) mem: MemorySystem,
     pub(crate) os: Os,
     pub(crate) asid: Asid,
     pub(crate) sync_ids: Vec<u32>,
     pub(crate) finished: usize,
-    pub(crate) fault_streaks: Vec<Option<(u64, u32, Cycle)>>,
+    pub(crate) fault_streaks: Vec<FaultStreak>,
     pub(crate) shootdowns: u64,
     pub(crate) threads: Vec<ThreadRt>,
     pub(crate) next_step_seq: u64,
@@ -1492,8 +1222,10 @@ pub(crate) fn read_snapshot(
     let now = Cycle(r.take_u64()?);
     let fired = r.take_u64()?;
     let scheduled = r.take_u64()?;
-    let window_start = Cycle(r.take_u64()?);
-    let window_base_faults = r.take_u64()?;
+    let watchdog = Watchdog {
+        start: Cycle(r.take_u64()?),
+        base_faults: r.take_u64()?,
+    };
     let buffer_vas: Vec<VirtAddr> = Vec::<u64>::load(r)?.into_iter().map(VirtAddr).collect();
     let platform = &design.platform;
     let mem = MemorySystem::restore_state(&platform.mem, r)?;
@@ -1501,7 +1233,7 @@ pub(crate) fn read_snapshot(
     let asid = Asid::load(r)?;
     let sync_ids = Vec::<u32>::load(r)?;
     let finished = r.take_u64()? as usize;
-    let fault_streaks = Vec::<Option<(u64, u32, Cycle)>>::load(r)?;
+    let fault_streaks = Vec::<FaultStreak>::load(r)?;
     let shootdowns = r.take_u64()?;
 
     let app = &design.app;
@@ -1588,8 +1320,7 @@ pub(crate) fn read_snapshot(
         now,
         fired,
         scheduled,
-        window_start,
-        window_base_faults,
+        watchdog,
         buffer_vas,
         mem,
         os,

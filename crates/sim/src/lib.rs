@@ -10,8 +10,8 @@
 //! * [`FcfsResource`] — a first-come-first-served "resource calendar" used to
 //!   model contention on shared single-server resources (bus, DRAM bank, TLB
 //!   port) without full event-per-beat machinery.
-//! * [`stats`] — counters and power-of-two histograms with a snapshotting
-//!   registry used by the report printers.
+//! * [`stats`] — the snapshotting stat registry used by the report
+//!   printers.
 //! * [`rng`] — a tiny deterministic PRNG (xoshiro256**) so workload generation
 //!   never depends on external crates or global state.
 //!
@@ -39,12 +39,10 @@ pub mod resource;
 pub mod rng;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
 pub use event::{reference::HeapScheduler, Event, Scheduler, INLINE_EVENT_BYTES};
 pub use fabric::FabricResources;
 pub use resource::FcfsResource;
 pub use rng::Xoshiro256ss;
-pub use stats::{Counter, Histogram, StatSet};
+pub use stats::StatSet;
 pub use time::Cycle;
-pub use trace::Trace;

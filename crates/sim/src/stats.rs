@@ -1,4 +1,4 @@
-//! Counters, histograms, and a snapshotting stat registry.
+//! A snapshotting stat registry.
 //!
 //! Every timing model in the stack exposes its internal counters through a
 //! [`StatSet`] snapshot so that report printers (and the experiment binaries)
@@ -6,165 +6,6 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-
-/// A monotonically increasing event counter.
-///
-/// # Example
-///
-/// ```
-/// use svmsyn_sim::Counter;
-/// let mut hits = Counter::default();
-/// hits.inc();
-/// hits.add(4);
-/// assert_eq!(hits.get(), 5);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Creates a counter at zero.
-    pub fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Adds one.
-    pub fn inc(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Adds `n`.
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Current value.
-    pub fn get(self) -> u64 {
-        self.0
-    }
-
-    /// Resets to zero.
-    pub fn reset(&mut self) {
-        self.0 = 0;
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
-/// A power-of-two bucketed histogram of `u64` samples.
-///
-/// Bucket `i` covers `[2^(i-1), 2^i)` for `i >= 1` and `[0, 1)` for `i = 0`,
-/// which is the usual latency-histogram shape: cheap, fixed-size, and accurate
-/// where it matters (orders of magnitude).
-///
-/// # Example
-///
-/// ```
-/// use svmsyn_sim::Histogram;
-/// let mut h = Histogram::new();
-/// for v in [1u64, 2, 3, 100] { h.record(v); }
-/// assert_eq!(h.count(), 4);
-/// assert_eq!(h.max(), 100);
-/// assert!((h.mean() - 26.5).abs() < 1e-9);
-/// ```
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    buckets: [u64; 65],
-    count: u64,
-    sum: u64,
-    min: u64,
-    max: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Histogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        Histogram {
-            buckets: [0; 65],
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-        }
-    }
-
-    fn bucket_of(v: u64) -> usize {
-        (64 - v.leading_zeros()) as usize
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, v: u64) {
-        self.buckets[Self::bucket_of(v)] += 1;
-        self.count += 1;
-        self.sum += v;
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all samples.
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Smallest sample, or 0 if empty.
-    pub fn min(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest sample, or 0 if empty.
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Arithmetic mean, or 0.0 if empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Approximate `p`-th percentile (`p` in `[0, 100]`), resolved to the
-    /// upper edge of the containing power-of-two bucket.
-    pub fn percentile(&self, p: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let target = ((p / 100.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= target {
-                return if i == 0 { 0 } else { (1u64 << i) - 1 }.min(self.max);
-            }
-        }
-        self.max
-    }
-
-    /// Resets to empty.
-    pub fn reset(&mut self) {
-        *self = Histogram::new();
-    }
-}
 
 /// An ordered name → value snapshot of a component's statistics.
 ///
@@ -267,69 +108,6 @@ impl Extend<(String, f64)> for StatSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_basics() {
-        let mut c = Counter::new();
-        c.inc();
-        c.add(9);
-        assert_eq!(c.get(), 10);
-        assert_eq!(c.to_string(), "10");
-        c.reset();
-        assert_eq!(c.get(), 0);
-    }
-
-    #[test]
-    fn histogram_empty() {
-        let h = Histogram::new();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.mean(), 0.0);
-        assert_eq!(h.min(), 0);
-        assert_eq!(h.max(), 0);
-        assert_eq!(h.percentile(50.0), 0);
-    }
-
-    #[test]
-    fn histogram_bucket_boundaries() {
-        assert_eq!(Histogram::bucket_of(0), 0);
-        assert_eq!(Histogram::bucket_of(1), 1);
-        assert_eq!(Histogram::bucket_of(2), 2);
-        assert_eq!(Histogram::bucket_of(3), 2);
-        assert_eq!(Histogram::bucket_of(4), 3);
-        assert_eq!(Histogram::bucket_of(u64::MAX), 64);
-    }
-
-    #[test]
-    fn histogram_stats() {
-        let mut h = Histogram::new();
-        for v in 1..=100u64 {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 100);
-        assert_eq!(h.min(), 1);
-        assert_eq!(h.max(), 100);
-        assert!((h.mean() - 50.5).abs() < 1e-9);
-        // The median of 1..=100 lies in bucket [64,128) upper edge 127,
-        // clamped to max 100; coarse but monotone.
-        let p50 = h.percentile(50.0);
-        let p99 = h.percentile(99.0);
-        assert!(p50 <= p99);
-        assert!(p99 <= 100);
-    }
-
-    #[test]
-    fn histogram_percentile_monotone_in_p() {
-        let mut h = Histogram::new();
-        for v in [1u64, 10, 100, 1000, 10000] {
-            h.record(v);
-        }
-        let mut last = 0;
-        for p in [1.0, 25.0, 50.0, 75.0, 99.0, 100.0] {
-            let v = h.percentile(p);
-            assert!(v >= last, "percentile must be monotone");
-            last = v;
-        }
-    }
 
     #[test]
     fn statset_roundtrip() {
