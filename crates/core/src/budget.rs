@@ -1,10 +1,14 @@
 //! Host-core budgeting shared by every component that multiplies
 //! parallelism: the sweep service's worker pool, the DSE evaluator's
 //! thread count, and the sharded simulation engine all draw from the same
-//! physical cores. One simulation configured with `shards = S` occupies
-//! `S` host threads while a window executes, so a pool of `W` workers
-//! each running an `S`-shard simulation wants `W × S <= host_cores()` —
-//! [`worker_budget`] computes the largest `W` that fits.
+//! physical cores. One simulation configured with `shards = S` holds `S`
+//! host threads for the whole of each `ShardedSim::run` call: the caller's
+//! thread runs shard 0 and the barriers, and `S − 1` crew workers run the
+//! other shards, parked between windows (they spin briefly before
+//! parking, so they cost a core while the run is busy). A pool of `W`
+//! workers each running an `S`-shard simulation therefore wants
+//! `W × S <= host_cores()` — [`worker_budget`] computes the largest `W`
+//! that fits.
 
 /// Host CPUs available to this process (`1` when detection fails —
 /// sandboxes and exotic platforms degrade to serial, never to a panic).

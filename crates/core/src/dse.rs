@@ -417,7 +417,7 @@ impl<'a> Evaluator<'a> {
         store: Option<&'a ResultStore>,
     ) -> Self {
         // Each candidate evaluation occupies `sim.shards` host threads
-        // while a window executes, so the worker pool shrinks to keep
+        // for its whole run, so the worker pool shrinks to keep
         // `workers × shards` within the host budget.
         let workers = crate::budget::worker_budget(cfg.threads, cfg.sim.shards as usize);
         // The variant list is the cross product of the walk-cache and

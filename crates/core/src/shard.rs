@@ -63,6 +63,9 @@ use crate::step::{
     SyncHost, Watchdog,
 };
 
+mod crew;
+use crew::with_crew;
+
 /// Hard ceiling on shards: the fabric's transaction-id lanes need a
 /// power-of-two stride dividing its record ring, and no host this targets
 /// has more cores anyway.
@@ -71,8 +74,15 @@ const MAX_SHARDS: usize = 64;
 /// How the shards of one window execute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
-    /// One host thread per shard (`std::thread::scope`); shard 0 runs
-    /// inline on the coordinator thread.
+    /// One host thread per shard: shard 0 runs inline on the coordinator
+    /// thread, and a crew of `shards − 1` workers, started once per
+    /// [`ShardedSim::run`] call, runs the others. Between windows the
+    /// workers spin briefly, then park. Each window the coordinator moves
+    /// every worker's shard into that worker's slot, bumps an epoch, runs
+    /// shard 0, and takes the shards back when all workers signal done. A
+    /// panic in a worker's window is re-raised on the caller's thread with
+    /// the worker's own payload; a panic or early return on the
+    /// coordinator stops and joins the crew first.
     Parallel,
     /// All shards sequentially on the coordinator thread, in shard order —
     /// the single-wheel oracle the conformance suite compares against.
@@ -550,9 +560,10 @@ impl<'d> ShardedSim<'d> {
         }
     }
 
-    /// Executes one window `[t, e)` on every shard, in the configured
-    /// mode. The OS migrates to shard 0 for the window's duration.
-    fn run_windows(&mut self, e: Cycle) {
+    /// Executes one window `[t, e)` on every shard through `dispatch` (the
+    /// configured mode). The OS migrates to shard 0 for the window's
+    /// duration.
+    fn run_windows(&mut self, e: Cycle, dispatch: &mut impl FnMut(&mut Vec<Shard>, Cycle)) {
         let fired_base = self.events_fired();
         let lane_base = self.next_seq;
         // Each shard gets the full remaining event budget as its
@@ -566,22 +577,7 @@ impl<'d> ShardedSim<'d> {
             sh.state.cap_hit = false;
         }
         self.shards[0].state.os = self.os.take();
-        match self.mode {
-            ExecMode::SingleWheel => {
-                for sh in &mut self.shards {
-                    run_window(sh, e);
-                }
-            }
-            ExecMode::Parallel => {
-                let (first, rest) = self.shards.split_at_mut(1);
-                std::thread::scope(|scope| {
-                    for sh in rest.iter_mut() {
-                        scope.spawn(move || run_window(sh, e));
-                    }
-                    run_window(&mut first[0], e);
-                });
-            }
-        }
+        dispatch(&mut self.shards, e);
         self.os = self.shards[0].state.os.take();
         let lane_max = self
             .shards
@@ -646,7 +642,34 @@ impl<'d> ShardedSim<'d> {
     ///
     /// Same contract as [`crate::sim::Sim::run`]: [`SimError::EventLimit`]
     /// and [`SimError::Thrashing`] carry a resumable barrier checkpoint.
+    ///
+    /// # Panics
+    ///
+    /// A panic inside any shard's window propagates with its own payload;
+    /// an [`ExecMode::Parallel`] crew is stopped and joined first.
     pub fn run(&mut self) -> Result<RunProgress, SimError> {
+        match self.mode {
+            // One crew for the whole call: it parks between windows and is
+            // joined on every way out (completion, error, pause, panic).
+            ExecMode::Parallel if self.n_shards > 1 => {
+                with_crew(self.n_shards - 1, run_window, |crew| {
+                    self.run_loop(|shards, e| crew.run(shards, e))
+                })
+            }
+            _ => self.run_loop(|shards, e| {
+                for sh in shards {
+                    run_window(sh, e);
+                }
+            }),
+        }
+    }
+
+    /// The coordinator loop behind [`run`](Self::run); `dispatch` executes
+    /// one window on every shard.
+    fn run_loop(
+        &mut self,
+        mut dispatch: impl FnMut(&mut Vec<Shard>, Cycle),
+    ) -> Result<RunProgress, SimError> {
         loop {
             // 1. The earliest pending activity anywhere decides the next
             //    window; silence means the run is over.
@@ -680,7 +703,7 @@ impl<'d> ShardedSim<'d> {
                 refresh_stores(&mut self.canon, &mut mems);
             }
             // 5. The window itself.
-            self.run_windows(e);
+            self.run_windows(e, &mut dispatch);
             self.clock = e;
             // 6. Exchange: crossings into the control queue, replica
             //    stores and calendars folded back into the canon, deferred
