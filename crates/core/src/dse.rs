@@ -7,6 +7,13 @@
 //! front; integration tests assert that the heuristics match the exhaustive
 //! optimum on small instances.
 //!
+//! Synthesis inside a sweep draws hardware kernels from a compile cache
+//! that lives as long as one [`explore`] or [`explore_with_store`] call:
+//! each thread's kernel is compiled the first time a placement maps it to
+//! hardware, and every later placement, under every variant, reuses that
+//! compilation. HLS compilation is deterministic, so a cached kernel is the
+//! one the placement would have compiled itself.
+//!
 //! Evaluation is the cost center — every point is a full-system simulation —
 //! so the sweep engine batches independent candidates across worker threads
 //! (`std::thread::scope` with an atomic work-stealing claim index; the build
@@ -40,7 +47,7 @@ use svmsyn_vm::walker::WalkerConfig;
 
 use crate::app::Application;
 use crate::fingerprint::{app_fingerprint, platform_fingerprint};
-use crate::flow::{synthesize, Placement};
+use crate::flow::{synthesize_with, KernelCache, Placement};
 use crate::platform::{Platform, PressurePoint};
 use crate::sim::{simulate, SimConfig};
 
@@ -210,8 +217,9 @@ fn evaluate(
     platform: &Platform,
     placements: &[Placement],
     sim: &SimConfig,
+    kernels: &KernelCache,
 ) -> Option<DsePoint> {
-    let design = synthesize(app, platform, placements).ok()?;
+    let design = synthesize_with(app, platform, placements, kernels).ok()?;
     let outcome = simulate(&design, sim).ok()?;
     Some(DsePoint {
         placements: placements.to_vec(),
@@ -234,16 +242,18 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// [`evaluate`] behind a panic boundary: a panicking candidate becomes
 /// `Err(message)` instead of unwinding through the sweep. `AssertUnwindSafe`
-/// is sound because all inputs are borrowed immutably — an unwound
+/// is sound because all inputs but the kernel cache are borrowed immutably,
+/// and a compile that panics leaves its cache slot empty — an unwound
 /// evaluation leaves no state the sweep observes afterwards.
 fn evaluate_guarded(
     app: &Application,
     platform: &Platform,
     placements: &[Placement],
     sim: &SimConfig,
+    kernels: &KernelCache,
 ) -> Result<Option<DsePoint>, String> {
     catch_unwind(AssertUnwindSafe(|| {
-        evaluate(app, platform, placements, sim)
+        evaluate(app, platform, placements, sim, kernels)
     }))
     .map_err(panic_message)
 }
@@ -390,6 +400,10 @@ struct Evaluator<'a> {
     app: &'a Application,
     /// One platform per walk-cache variant, in axis order.
     variants: Vec<Platform>,
+    /// Compiled kernels shared by every candidate of every variant: the
+    /// variant axes leave `Platform::hls` untouched, so one compile per
+    /// thread serves the whole sweep.
+    kernels: KernelCache,
     /// Index into `variants` the search is currently exploring.
     current: usize,
     sim: SimConfig,
@@ -467,6 +481,7 @@ impl<'a> Evaluator<'a> {
         Evaluator {
             app,
             variants,
+            kernels: KernelCache::new(app, platform.hls),
             current: 0,
             sim: cfg.sim,
             workers,
@@ -545,7 +560,13 @@ impl<'a> Evaluator<'a> {
             self.memo[self.current].insert(placements.to_vec(), stored.clone());
             return stored;
         }
-        let point = match evaluate_guarded(self.app, self.platform(), placements, &self.sim) {
+        let point = match evaluate_guarded(
+            self.app,
+            self.platform(),
+            placements,
+            &self.sim,
+            &self.kernels,
+        ) {
             Ok(point) => {
                 self.store_publish(self.current, placements, &point);
                 point
@@ -597,8 +618,13 @@ impl<'a> Evaluator<'a> {
 
         if misses.len() <= 1 || self.workers <= 1 {
             for c in misses {
-                let point = match evaluate_guarded(self.app, &self.variants[variant], c, &self.sim)
-                {
+                let point = match evaluate_guarded(
+                    self.app,
+                    &self.variants[variant],
+                    c,
+                    &self.sim,
+                    &self.kernels,
+                ) {
                     Ok(point) => {
                         self.store_publish(variant, c, &point);
                         point
@@ -624,7 +650,8 @@ impl<'a> Evaluator<'a> {
             // observable result — the parallel sweep stays bit-identical to
             // the serial one.
             let workers = self.workers.min(misses.len());
-            let (app, platform, sim) = (self.app, &self.variants[variant], &self.sim);
+            let (app, platform, sim, kernels) =
+                (self.app, &self.variants[variant], &self.sim, &self.kernels);
             let misses = &misses;
             let next = AtomicUsize::new(0);
             // A candidate's evaluation outcome: its placement vector plus
@@ -638,7 +665,10 @@ impl<'a> Evaluator<'a> {
                             loop {
                                 let i = next.fetch_add(1, Ordering::Relaxed);
                                 let Some(c) = misses.get(i) else { break };
-                                done.push(((*c).clone(), evaluate_guarded(app, platform, c, sim)));
+                                done.push((
+                                    (*c).clone(),
+                                    evaluate_guarded(app, platform, c, sim, kernels),
+                                ));
                             }
                             done
                         })
@@ -883,6 +913,7 @@ pub fn explore_with_store(
 mod tests {
     use super::*;
     use crate::app::{ApplicationBuilder, ArgSpec};
+    use crate::flow::synthesize;
     use svmsyn_hls::builder::KernelBuilder;
     use svmsyn_hls::ir::{BinOp, CmpOp, Width};
 
@@ -1518,5 +1549,103 @@ mod tests {
             .filter(|p| **p == Placement::Hardware)
             .count();
         assert!(hw_count <= 1, "budget only fits one HW thread");
+    }
+
+    /// A loop-free kernel of `muls` chained multiplies.
+    fn chain_kernel(name: &str, muls: usize) -> svmsyn_hls::ir::Kernel {
+        let mut b = KernelBuilder::new(name, 1);
+        let mut x = b.arg(0);
+        for _ in 0..muls {
+            x = b.bin(BinOp::Mul, x, x);
+        }
+        b.ret(Some(x));
+        b.finish().unwrap()
+    }
+
+    #[test]
+    fn cached_sweep_matches_per_point_synthesis() {
+        // Three different kernels, so a compiled kernel served to the wrong
+        // thread changes a point's resources.
+        let n = 64u64;
+        let init: Vec<u8> = (0..n as u32).flat_map(|i| i.to_le_bytes()).collect();
+        let a = ApplicationBuilder::new("mixed")
+            .buffer("in", n * 4, init, false)
+            .buffer("out", n * 4, vec![], false)
+            .thread(
+                "t0",
+                work_kernel("k0"),
+                vec![
+                    ArgSpec::Buffer(0, 0),
+                    ArgSpec::Buffer(1, 0),
+                    ArgSpec::Value(n as i64),
+                ],
+                true,
+            )
+            .thread("t1", chain_kernel("k1", 2), vec![ArgSpec::Value(3)], true)
+            .thread("t2", chain_kernel("k2", 5), vec![ArgSpec::Value(5)], true)
+            .build()
+            .unwrap();
+        // A budget that fits two hardware threads under the default walker,
+        // so the all-hardware placements are over budget.
+        let two_hw = synthesize(
+            &a,
+            &Platform::default(),
+            &[
+                Placement::Hardware,
+                Placement::Hardware,
+                Placement::Software,
+            ],
+        )
+        .unwrap()
+        .total_resources;
+        let platform = Platform {
+            fabric: two_hw + FabricResources::new(500, 500, 2, 1),
+            ..Platform::default()
+        };
+        let axis = vec![WalkerConfig::disabled(), WalkerConfig::two_level(4, 16)];
+        let eligible = a.hw_eligible();
+        for threads in [1, 4] {
+            let r = explore(
+                &a,
+                &platform,
+                &DseConfig {
+                    method: DseMethod::Exhaustive,
+                    sim: fast_sim(),
+                    threads,
+                    walker_axis: axis.clone(),
+                    ..DseConfig::default()
+                },
+            )
+            .unwrap();
+            assert!(r.panics.is_empty(), "threads={threads}: {:?}", r.panics);
+            let (mut feasible, mut infeasible) = (0, 0);
+            for walker in &axis {
+                let variant = platform.with_walker(*walker);
+                for mask in 0..1u64 << eligible.len() {
+                    let placements = placements_from_mask(&a, &eligible, mask);
+                    let fresh = synthesize(&a, &variant, &placements).ok().and_then(|d| {
+                        let makespan = simulate(&d, &fast_sim()).ok()?.makespan;
+                        Some((d.total_resources, makespan))
+                    });
+                    let swept = r
+                        .feasible
+                        .iter()
+                        .find(|p| p.walker == *walker && p.placements == placements)
+                        .map(|p| (p.resources, p.makespan));
+                    assert_eq!(
+                        swept, fresh,
+                        "threads={threads} walker={walker:?} placements={placements:?}"
+                    );
+                    match fresh {
+                        Some(_) => feasible += 1,
+                        None => infeasible += 1,
+                    }
+                }
+            }
+            assert!(
+                feasible > 0 && infeasible > 0,
+                "{feasible} feasible, {infeasible} infeasible"
+            );
+        }
     }
 }

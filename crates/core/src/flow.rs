@@ -6,10 +6,10 @@
 //! kernel, attaches the per-thread VM infrastructure (MMU + MEMIF + OSIF),
 //! checks the fabric budget, and determines the achievable system clock.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use svmsyn_hls::fsmd::{compile, CompiledKernel};
+use svmsyn_hls::fsmd::{compile, CompiledKernel, HlsConfig};
 use svmsyn_hwt::cost::vm_infrastructure_cost;
 use svmsyn_sim::FabricResources;
 use svmsyn_vm::cost::mmu_fmax_mhz;
@@ -122,7 +122,10 @@ pub struct SystemDesign {
     /// Achieved system clock in MHz (min of platform clock, kernel Fmax,
     /// MMU Fmax across hardware threads).
     pub system_mhz: f64,
-    /// Toolflow wall-clock time in seconds (Table 4).
+    /// Toolflow wall-clock time of the call that built this design, in
+    /// seconds (Table 4). A design built inside a DSE sweep leaves out the
+    /// compile time of kernels that the sweep had already compiled for an
+    /// earlier placement.
     pub synthesis_seconds: f64,
 }
 
@@ -138,6 +141,31 @@ impl SystemDesign {
     /// Fabric utilization against the platform budget (worst component).
     pub fn utilization(&self) -> f64 {
         self.total_resources.utilization(&self.platform.fabric)
+    }
+}
+
+/// Compiled kernels shared by the designs of one DSE sweep: one slot per
+/// application thread, filled the first time a placement maps that thread
+/// to hardware. `compile` depends only on the kernel and the HLS
+/// configuration, so every later placement reuses the same
+/// `Arc<CompiledKernel>`.
+///
+/// Slots are keyed by thread index, not by kernel content: threads that
+/// share a kernel still compile once each, as a single [`synthesize`] call
+/// does. A compile that panics leaves its slot empty.
+pub(crate) struct KernelCache {
+    /// The configuration every cached kernel was compiled under.
+    hls: HlsConfig,
+    kernels: Vec<OnceLock<Arc<CompiledKernel>>>,
+}
+
+impl KernelCache {
+    /// An empty cache for `app`'s threads, compiling under `hls`.
+    pub(crate) fn new(app: &Application, hls: HlsConfig) -> Self {
+        KernelCache {
+            hls,
+            kernels: app.threads.iter().map(|_| OnceLock::new()).collect(),
+        }
     }
 }
 
@@ -175,7 +203,32 @@ pub fn synthesize(
     platform: &Platform,
     placements: &[Placement],
 ) -> Result<SystemDesign, SynthesisError> {
+    synthesize_with(
+        app,
+        platform,
+        placements,
+        &KernelCache::new(app, platform.hls),
+    )
+}
+
+/// [`synthesize`] taking hardware kernels from `kernels`, compiling into it
+/// the ones it does not hold yet.
+///
+/// # Panics
+///
+/// Panics if `kernels` compiles under another HLS configuration than
+/// `platform.hls`.
+pub(crate) fn synthesize_with(
+    app: &Application,
+    platform: &Platform,
+    placements: &[Placement],
+    kernels: &KernelCache,
+) -> Result<SystemDesign, SynthesisError> {
     let started = Instant::now();
+    assert_eq!(
+        kernels.hls, platform.hls,
+        "kernel cache compiles under another HLS configuration than the platform"
+    );
     if placements.len() != app.threads.len() {
         return Err(SynthesisError::PlacementLengthMismatch {
             given: placements.len(),
@@ -196,10 +249,13 @@ pub fn synthesize(
     let mut threads = Vec::with_capacity(app.threads.len());
     let mut total = FabricResources::ZERO;
     let mut system_mhz = platform.fabric_mhz;
-    for (spec, &placement) in app.threads.iter().zip(placements) {
+    for (t, (spec, &placement)) in app.threads.iter().zip(placements).enumerate() {
         match placement {
             Placement::Hardware => {
-                let compiled = Arc::new(compile(&spec.kernel, &platform.hls));
+                let compiled = Arc::clone(
+                    kernels.kernels[t]
+                        .get_or_init(|| Arc::new(compile(&spec.kernel, &platform.hls))),
+                );
                 let vm = vm_infrastructure_cost(&platform.memif);
                 total += compiled.resources + vm;
                 system_mhz = system_mhz
@@ -340,5 +396,62 @@ mod tests {
         let d = synthesize(&app, &Platform::default(), &[Placement::Hardware]).unwrap();
         assert!(d.system_mhz <= d.platform.fabric_mhz);
         assert!(d.system_mhz > 0.0);
+    }
+
+    #[test]
+    fn kernel_cache_compiles_each_thread_once() {
+        let app = demo_app(3);
+        let platform = Platform::default();
+        let cache = KernelCache::new(&app, platform.hls);
+        for mask in 0..8u32 {
+            let placements: Vec<Placement> = (0..3)
+                .map(|t| {
+                    if mask >> t & 1 == 1 {
+                        Placement::Hardware
+                    } else {
+                        Placement::Software
+                    }
+                })
+                .collect();
+            let cached = synthesize_with(&app, &platform, &placements, &cache).unwrap();
+            if mask == 0 {
+                assert!(
+                    cache.kernels.iter().all(|slot| slot.get().is_none()),
+                    "the all-software placement compiles nothing"
+                );
+            }
+            let fresh = synthesize(&app, &platform, &placements).unwrap();
+            assert_eq!(cached.total_resources, fresh.total_resources);
+            assert_eq!(cached.system_mhz, fresh.system_mhz);
+            for (t, (c, f)) in cached.threads.iter().zip(&fresh.threads).enumerate() {
+                assert_eq!(c.kernel_resources, f.kernel_resources);
+                assert_eq!(c.vm_resources, f.vm_resources);
+                assert_eq!(c.kernel_fmax, f.kernel_fmax);
+                if let Some(kernel) = &c.compiled {
+                    let slot = cache.kernels[t]
+                        .get()
+                        .expect("a hardware thread fills its slot");
+                    assert!(
+                        Arc::ptr_eq(kernel, slot),
+                        "thread {t} recompiled for placement {mask:03b}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "another HLS configuration")]
+    fn kernel_cache_rejects_another_hls_config() {
+        let app = demo_app(1);
+        let platform = Platform::default();
+        let cache = KernelCache::new(
+            &app,
+            HlsConfig {
+                optimize: !platform.hls.optimize,
+                ..platform.hls
+            },
+        );
+        let _ = synthesize_with(&app, &platform, &[Placement::Hardware], &cache);
     }
 }
