@@ -15,16 +15,19 @@
 //! one the placement would have compiled itself.
 //!
 //! Evaluation is the cost center — every point is a full-system simulation —
-//! so the sweep engine batches independent candidates across worker threads
-//! (`std::thread::scope` with an atomic work-stealing claim index; the build
-//! environment has no crates.io access, so no rayon) and memoizes results by
-//! placement vector: a configuration the search revisits is never
-//! re-simulated. Simulation is deterministic, so the parallel sweep returns
-//! bit-identical results to the serial one.
+//! so every search hands the evaluator batches of independent candidates
+//! (a single annealing step is a batch of one), and one path evaluates
+//! them: memo, then store probe, then [`map_ordered`] over the distinct
+//! misses on [`DseConfig::threads`] workers, then publish or record the
+//! panic on the coordinating thread. Results are memoized by placement
+//! vector, so a configuration the search revisits is never re-simulated.
+//! Simulation is deterministic and [`map_ordered`] returns results in
+//! candidate order, so a parallel sweep returns bit-identical results —
+//! panics included — to the serial one.
 //!
 //! Below the in-process memo sits an optional **second-level cache**: a
-//! persistent content-addressed [`ResultStore`] ([`DseConfig::store`] or
-//! [`explore_with_store`]). A memo miss probes the store before simulating,
+//! persistent content-addressed [`ResultStore`] handle passed to
+//! [`explore_with_store`]. A memo miss probes the store before simulating,
 //! and every fresh evaluation is published back, so identical evaluation
 //! requests — across processes, sweeps, and tenants — pay the simulation
 //! cost once. Store keys are canonical snap encodings of
@@ -34,10 +37,6 @@
 //! shared store.
 
 use std::collections::{HashMap, HashSet};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::thread;
 
 use svmsyn_mem::FabricConfig;
 use svmsyn_sim::{Cycle, FabricResources, Xoshiro256ss};
@@ -46,6 +45,7 @@ use svmsyn_store::ResultStore;
 use svmsyn_vm::walker::WalkerConfig;
 
 use crate::app::Application;
+use crate::budget::{map_ordered, worker_budget};
 use crate::fingerprint::{app_fingerprint, platform_fingerprint};
 use crate::flow::{synthesize_with, KernelCache, Placement};
 use crate::platform::{Platform, PressurePoint};
@@ -97,12 +97,6 @@ pub struct DseConfig {
     /// swap latency) to sweep as a design axis, crossed with every other
     /// axis. Empty means the platform's configured pressure point only.
     pub pressure_axis: Vec<PressurePoint>,
-    /// Root directory of a persistent content-addressed result store to
-    /// consult below the in-process memo (memo miss → store probe →
-    /// simulate → publish). `None` disables persistence. To share one open
-    /// store handle across many explorations, use [`explore_with_store`]
-    /// instead.
-    pub store: Option<PathBuf>,
 }
 
 impl Default for DseConfig {
@@ -117,7 +111,6 @@ impl Default for DseConfig {
             fabric_axis: Vec::new(),
             memif_axis: Vec::new(),
             pressure_axis: Vec::new(),
-            store: None,
         }
     }
 }
@@ -163,7 +156,8 @@ pub struct DseResult {
     pub feasible: Vec<DsePoint>,
     /// The non-dominated (LUT, makespan) front, sorted by LUT.
     pub pareto: Vec<DsePoint>,
-    /// Candidates whose evaluation panicked. The panic is caught, the
+    /// Candidates whose evaluation panicked, in the order the search
+    /// requested them, at any thread count. The panic is caught, the
     /// candidate is treated as infeasible, and the rest of the sweep
     /// completes — one broken design point cannot abort hours of search.
     pub panics: Vec<DsePanic>,
@@ -172,8 +166,7 @@ pub struct DseResult {
 /// One candidate evaluation that panicked during a sweep.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DsePanic {
-    /// The placement vector whose evaluation panicked (empty if the panic
-    /// escaped candidate evaluation entirely, e.g. a worker-thread bug).
+    /// The placement vector whose evaluation panicked.
     pub placements: Vec<Placement>,
     /// The panic payload, stringified (`<non-string panic>` when the
     /// payload is not a string).
@@ -190,9 +183,6 @@ pub enum DseError {
         /// Eligible thread count.
         eligible: usize,
     },
-    /// The configured result store could not be opened (the message is the
-    /// underlying store error, stringified to keep this type `Clone + Eq`).
-    Store(String),
 }
 
 impl std::fmt::Display for DseError {
@@ -205,12 +195,30 @@ impl std::fmt::Display for DseError {
                     "{eligible} eligible threads is too many for exhaustive search"
                 )
             }
-            DseError::Store(msg) => write!(f, "result store unavailable: {msg}"),
         }
     }
 }
 
 impl std::error::Error for DseError {}
+
+/// The design point of `placements` under `variant`, whose own axis values
+/// it records.
+fn design_point(
+    variant: &Platform,
+    placements: &[Placement],
+    resources: FabricResources,
+    makespan: Cycle,
+) -> DsePoint {
+    DsePoint {
+        placements: placements.to_vec(),
+        walker: variant.memif.mmu.walker,
+        fabric: variant.mem.fabric.clone(),
+        miss_depth: variant.memif.miss_depth,
+        pressure: variant.pressure_point(),
+        resources,
+        makespan,
+    }
+}
 
 fn evaluate(
     app: &Application,
@@ -221,41 +229,12 @@ fn evaluate(
 ) -> Option<DsePoint> {
     let design = synthesize_with(app, platform, placements, kernels).ok()?;
     let outcome = simulate(&design, sim).ok()?;
-    Some(DsePoint {
-        placements: placements.to_vec(),
-        walker: platform.memif.mmu.walker,
-        fabric: platform.mem.fabric.clone(),
-        miss_depth: platform.memif.miss_depth,
-        pressure: platform.pressure_point(),
-        resources: design.total_resources,
-        makespan: outcome.makespan,
-    })
-}
-
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(|s| (*s).to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "<non-string panic>".to_string())
-}
-
-/// [`evaluate`] behind a panic boundary: a panicking candidate becomes
-/// `Err(message)` instead of unwinding through the sweep. `AssertUnwindSafe`
-/// is sound because all inputs but the kernel cache are borrowed immutably,
-/// and a compile that panics leaves its cache slot empty — an unwound
-/// evaluation leaves no state the sweep observes afterwards.
-fn evaluate_guarded(
-    app: &Application,
-    platform: &Platform,
-    placements: &[Placement],
-    sim: &SimConfig,
-    kernels: &KernelCache,
-) -> Result<Option<DsePoint>, String> {
-    catch_unwind(AssertUnwindSafe(|| {
-        evaluate(app, platform, placements, sim, kernels)
-    }))
-    .map_err(panic_message)
+    Some(design_point(
+        platform,
+        placements,
+        design.total_resources,
+        outcome.makespan,
+    ))
 }
 
 /// Version tag of the store key layout. Bumped whenever the key encoding
@@ -349,20 +328,16 @@ fn decode_store_value(
     let mut r = SnapReader::new(bytes);
     match r.take_u8()? {
         0 => Ok(None),
-        1 => Ok(Some(DsePoint {
-            placements: placements.to_vec(),
-            walker: variant.memif.mmu.walker,
-            fabric: variant.mem.fabric.clone(),
-            miss_depth: variant.memif.miss_depth,
-            pressure: variant.pressure_point(),
-            resources: FabricResources {
+        1 => {
+            let resources = FabricResources {
                 lut: r.take_u64()?,
                 ff: r.take_u64()?,
                 dsp: r.take_u64()?,
                 bram36: r.take_u64()?,
-            },
-            makespan: Cycle(r.take_u64()?),
-        })),
+            };
+            let makespan = Cycle(r.take_u64()?);
+            Ok(Some(design_point(variant, placements, resources, makespan)))
+        }
         _ => Err(SnapError::Corrupt("store value tag")),
     }
 }
@@ -392,10 +367,9 @@ fn pareto_front(mut feasible: Vec<DsePoint>) -> Vec<DsePoint> {
 
 /// The memoizing, batching evaluation engine behind every search method.
 ///
-/// The walk-cache axis adds a second memo dimension: one memo table per
-/// variant, so revisits of a placement under the same walker geometry never
-/// re-simulate while distinct geometries stay distinct points — and probes
-/// still borrow the placement slice (no per-lookup allocation).
+/// The variant axes add a second memo dimension: one memo table per
+/// variant, so revisits of a placement under the same variant never
+/// re-simulate while distinct variants stay distinct points.
 struct Evaluator<'a> {
     app: &'a Application,
     /// One platform per walk-cache variant, in axis order.
@@ -433,41 +407,15 @@ impl<'a> Evaluator<'a> {
         // Each candidate evaluation occupies `sim.shards` host threads
         // for its whole run, so the worker pool shrinks to keep
         // `workers × shards` within the host budget.
-        let workers = crate::budget::worker_budget(cfg.threads, cfg.sim.shards as usize);
-        // The variant list is the cross product of the walk-cache and
-        // fabric axes; an empty axis contributes the platform's own value.
-        let walker_variants: Vec<Platform> = if cfg.walker_axis.is_empty() {
-            vec![platform.clone()]
-        } else {
-            cfg.walker_axis
-                .iter()
-                .map(|w| platform.with_walker(*w))
-                .collect()
-        };
-        let fabric_variants: Vec<Platform> = if cfg.fabric_axis.is_empty() {
-            walker_variants
-        } else {
-            walker_variants
-                .iter()
-                .flat_map(|p| cfg.fabric_axis.iter().map(|f| p.with_fabric(f.clone())))
-                .collect()
-        };
-        let memif_variants: Vec<Platform> = if cfg.memif_axis.is_empty() {
-            fabric_variants
-        } else {
-            fabric_variants
-                .iter()
-                .flat_map(|p| cfg.memif_axis.iter().map(|&d| p.with_miss_depth(d)))
-                .collect()
-        };
-        let variants: Vec<Platform> = if cfg.pressure_axis.is_empty() {
-            memif_variants
-        } else {
-            memif_variants
-                .iter()
-                .flat_map(|p| cfg.pressure_axis.iter().map(|&pt| p.with_pressure(pt)))
-                .collect()
-        };
+        let workers = worker_budget(cfg.threads, cfg.sim.shards as usize);
+        // The variant list is the cross product of the axes, walker
+        // outermost; an empty axis contributes the platform's own value.
+        let variants = cross(vec![platform.clone()], &cfg.walker_axis, |p, w| {
+            p.with_walker(*w)
+        });
+        let variants = cross(variants, &cfg.fabric_axis, |p, f| p.with_fabric(f.clone()));
+        let variants = cross(variants, &cfg.memif_axis, |p, &d| p.with_miss_depth(d));
+        let variants = cross(variants, &cfg.pressure_axis, |p, &pt| p.with_pressure(pt));
         let memo = vec![HashMap::new(); variants.len()];
         let key_prefix = if store.is_some() {
             let app_fp = app_fingerprint(app);
@@ -544,211 +492,100 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    fn platform(&self) -> &Platform {
-        &self.variants[self.current]
-    }
-
-    /// Evaluates one candidate, consulting the memo table first. A
-    /// panicking evaluation is recorded and memoized as infeasible.
+    /// Evaluates one candidate: a batch of one.
     fn eval_one(&mut self, placements: &[Placement]) -> Option<DsePoint> {
-        self.evaluated += 1;
-        if let Some(cached) = self.memo[self.current].get(placements) {
-            self.cache_hits += 1;
-            return cached.clone();
-        }
-        if let Some(stored) = self.store_probe(self.current, placements) {
-            self.memo[self.current].insert(placements.to_vec(), stored.clone());
-            return stored;
-        }
-        let point = match evaluate_guarded(
-            self.app,
-            self.platform(),
-            placements,
-            &self.sim,
-            &self.kernels,
-        ) {
-            Ok(point) => {
-                self.store_publish(self.current, placements, &point);
-                point
-            }
-            Err(message) => {
-                self.panics.push(DsePanic {
-                    placements: placements.to_vec(),
-                    message,
-                });
-                None
-            }
-        };
-        self.memo[self.current].insert(placements.to_vec(), point.clone());
-        point
+        self.eval_batch(&[placements.to_vec()]).pop().flatten()
     }
 
-    /// Evaluates a batch of independent candidates, fanning uncached ones
-    /// out across worker threads. Results come back in candidate order, so
-    /// callers observe exactly the serial sweep's sequence.
+    /// Evaluates a batch of independent candidates under the current
+    /// variant and returns their outcomes in candidate order. A candidate
+    /// is answered by the memo, then by the store; the distinct rest are
+    /// simulated on the worker pool, and each outcome is published (or its
+    /// panic recorded and memoized as infeasible) on this thread, in
+    /// candidate order — so callers observe exactly the serial sweep.
+    /// Store probes stay on this thread too: they are cheap disk reads,
+    /// and only simulations are worth a worker.
     fn eval_batch(&mut self, candidates: &[Vec<Placement>]) -> Vec<Option<DsePoint>> {
         self.evaluated += candidates.len();
         let variant = self.current;
-        let mut memo_misses: Vec<&Vec<Placement>> = Vec::new();
         let mut seen: HashSet<&Vec<Placement>> = HashSet::new();
-        for c in candidates {
-            if !self.memo[variant].contains_key(c) && seen.insert(c) {
-                memo_misses.push(c);
-            }
-        }
-        self.cache_hits += candidates.len() - memo_misses.len();
-
-        // Second-level cache: probe the persistent store for every memo
-        // miss before spending a simulation on it. Probes are cheap disk
-        // reads, so they stay on this thread; only real simulations fan
-        // out to the worker pool below.
         let mut misses: Vec<&Vec<Placement>> = Vec::new();
-        if self.store.is_some() {
-            for c in memo_misses {
-                match self.store_probe(variant, c) {
-                    Some(stored) => {
-                        self.memo[variant].insert(c.clone(), stored);
-                    }
-                    None => misses.push(c),
-                }
-            }
-        } else {
-            misses = memo_misses;
-        }
-
-        if misses.len() <= 1 || self.workers <= 1 {
-            for c in misses {
-                let point = match evaluate_guarded(
-                    self.app,
-                    &self.variants[variant],
-                    c,
-                    &self.sim,
-                    &self.kernels,
-                ) {
-                    Ok(point) => {
-                        self.store_publish(variant, c, &point);
-                        point
-                    }
-                    Err(message) => {
-                        self.panics.push(DsePanic {
-                            placements: c.clone(),
-                            message,
-                        });
-                        None
-                    }
-                };
-                self.memo[variant].insert(c.clone(), point);
-            }
-        } else {
-            // Work stealing via a shared atomic claim index: per-candidate
-            // evaluation times are skewed (all-hardware points simulate much
-            // faster than all-software ones), so fixed chunks leave workers
-            // idle while one chews the expensive tail. Each worker claims
-            // the next unevaluated candidate as it frees up. Evaluation is
-            // deterministic per candidate and the results land in the memo
-            // table keyed by placement, so claim order cannot change any
-            // observable result — the parallel sweep stays bit-identical to
-            // the serial one.
-            let workers = self.workers.min(misses.len());
-            let (app, platform, sim, kernels) =
-                (self.app, &self.variants[variant], &self.sim, &self.kernels);
-            let misses = &misses;
-            let next = AtomicUsize::new(0);
-            // A candidate's evaluation outcome: its placement vector plus
-            // either a point (None = infeasible) or a caught panic message.
-            type Evaluated = (Vec<Placement>, Result<Option<DsePoint>, String>);
-            let results: Vec<Evaluated> = thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        scope.spawn(|| {
-                            let mut done = Vec::new();
-                            loop {
-                                let i = next.fetch_add(1, Ordering::Relaxed);
-                                let Some(c) = misses.get(i) else { break };
-                                done.push((
-                                    (*c).clone(),
-                                    evaluate_guarded(app, platform, c, sim, kernels),
-                                ));
-                            }
-                            done
-                        })
-                    })
-                    .collect();
-                // Candidate panics are caught inside `evaluate_guarded`,
-                // so a worker can only die to a bug outside evaluation;
-                // record even that instead of aborting the sweep (its
-                // claimed-but-unreported candidates re-run next batch).
-                handles
-                    .into_iter()
-                    .flat_map(|h| match h.join() {
-                        Ok(done) => done,
-                        Err(payload) => {
-                            vec![(Vec::new(), Err(panic_message(payload)))]
-                        }
-                    })
-                    .collect()
-            });
-            for (placements, outcome) in results {
-                let point = match outcome {
-                    Ok(point) => {
-                        // Publish on the coordinating thread after the join:
-                        // the store handle is shared, and panicked outcomes
-                        // (the Err arm) must never be persisted.
-                        self.store_publish(variant, &placements, &point);
-                        point
-                    }
-                    Err(message) => {
-                        self.panics.push(DsePanic {
-                            placements: placements.clone(),
-                            message,
-                        });
-                        None
-                    }
-                };
-                if !placements.is_empty() {
-                    self.memo[variant].insert(placements, point);
-                }
+        for c in candidates {
+            // A repeat within the batch counts as a memo hit, as it will
+            // be one by the time its result is read.
+            if self.memo[variant].contains_key(c) || !seen.insert(c) {
+                self.cache_hits += 1;
+            } else if let Some(stored) = self.store_probe(variant, c) {
+                self.memo[variant].insert(c.clone(), stored);
+            } else {
+                misses.push(c);
             }
         }
-
-        // A candidate can be missing only if its worker died outside
-        // evaluation; report it infeasible for this batch (it stays
-        // unmemoized, so a later request re-evaluates it).
+        // An unwound evaluation leaves nothing the sweep reads afterwards:
+        // every input but the kernel cache is borrowed immutably, and a
+        // compile that panics leaves its cache slot empty.
+        let (app, platform, sim, kernels) =
+            (self.app, &self.variants[variant], &self.sim, &self.kernels);
+        let outcomes = map_ordered(&misses, self.workers, |c| {
+            evaluate(app, platform, c, sim, kernels)
+        });
+        for (c, outcome) in misses.into_iter().zip(outcomes) {
+            let point = match outcome {
+                Ok(point) => {
+                    self.store_publish(variant, c, &point);
+                    point
+                }
+                Err(message) => {
+                    self.panics.push(DsePanic {
+                        placements: c.clone(),
+                        message,
+                    });
+                    None
+                }
+            };
+            self.memo[variant].insert(c.clone(), point);
+        }
         candidates
             .iter()
-            .map(|c| self.memo[variant].get(c).cloned().flatten())
+            .map(|c| self.memo[variant][c].clone())
             .collect()
     }
 }
 
-/// Explores the placement space and returns the best feasible design point.
-///
-/// When [`DseConfig::store`] is set, a private [`ResultStore`] handle is
-/// opened for the duration of the call; to share one open handle across
-/// many explorations (the sweep-service pattern) use [`explore_with_store`].
+/// Crosses every platform with every value of one design axis (`with`
+/// applies a value), platform-major. An empty axis keeps the platforms.
+fn cross<A>(
+    platforms: Vec<Platform>,
+    axis: &[A],
+    with: impl Fn(&Platform, &A) -> Platform,
+) -> Vec<Platform> {
+    if axis.is_empty() {
+        return platforms;
+    }
+    platforms
+        .iter()
+        .flat_map(|p| axis.iter().map(|a| with(p, a)))
+        .collect()
+}
+
+/// Explores the placement space and returns the best feasible design point,
+/// with no persistent store: [`explore_with_store`] with `None`.
 ///
 /// # Errors
 ///
-/// Returns [`DseError`] when no feasible point exists, the exhaustive
-/// space is too large, or the configured store cannot be opened.
+/// Returns [`DseError`] when no feasible point exists or the exhaustive
+/// space is too large.
 pub fn explore(
     app: &Application,
     platform: &Platform,
     cfg: &DseConfig,
 ) -> Result<DseResult, DseError> {
-    match &cfg.store {
-        None => explore_with_store(app, platform, cfg, None),
-        Some(root) => {
-            let store = ResultStore::open(root).map_err(|e| DseError::Store(e.to_string()))?;
-            explore_with_store(app, platform, cfg, Some(&store))
-        }
-    }
+    explore_with_store(app, platform, cfg, None)
 }
 
 /// [`explore`] against a caller-owned [`ResultStore`] handle (pass `None`
-/// to run purely in-memory; `cfg.store` is ignored here). The handle is
-/// internally synchronized, so one store can serve many concurrent
-/// explorations.
+/// to run purely in-memory). The handle is internally synchronized, so one
+/// store can serve many concurrent explorations.
 ///
 /// # Errors
 ///
@@ -914,6 +751,7 @@ mod tests {
     use super::*;
     use crate::app::{ApplicationBuilder, ArgSpec};
     use crate::flow::synthesize;
+    use std::path::{Path, PathBuf};
     use svmsyn_hls::builder::KernelBuilder;
     use svmsyn_hls::ir::{BinOp, CmpOp, Width};
 
@@ -1392,6 +1230,35 @@ mod tests {
         }
     }
 
+    #[test]
+    fn panics_are_reported_in_candidate_order() {
+        // As above, every placement with a hardware thread panics; the
+        // report must list them in mask order whatever the thread count.
+        let a = app(3, 64);
+        let mut platform = Platform::default();
+        platform.memif.line_bytes = 4;
+        let eligible = a.hw_eligible();
+        let expected: Vec<Vec<Placement>> = (1..8)
+            .map(|mask| placements_from_mask(&a, &eligible, mask))
+            .collect();
+        for threads in [1, 2, 4] {
+            let r = explore(
+                &a,
+                &platform,
+                &DseConfig {
+                    method: DseMethod::Exhaustive,
+                    sim: fast_sim(),
+                    threads,
+                    ..DseConfig::default()
+                },
+            )
+            .unwrap();
+            let reported: Vec<Vec<Placement>> =
+                r.panics.iter().map(|p| p.placements.clone()).collect();
+            assert_eq!(reported, expected, "threads={threads}");
+        }
+    }
+
     fn store_root(tag: &str) -> PathBuf {
         let root = std::env::temp_dir().join(format!(
             "svmsyn-dse-store-test-{tag}-{}",
@@ -1401,6 +1268,17 @@ mod tests {
         root
     }
 
+    /// One exploration through a fresh handle over the store at `root`.
+    fn explore_fresh_store(
+        a: &Application,
+        platform: &Platform,
+        cfg: &DseConfig,
+        root: &Path,
+    ) -> DseResult {
+        let store = ResultStore::open(root).unwrap();
+        explore_with_store(a, platform, cfg, Some(&store)).unwrap()
+    }
+
     #[test]
     fn warm_store_serves_repeat_exploration_from_disk() {
         let a = app(2, 64);
@@ -1408,10 +1286,9 @@ mod tests {
         let cfg = DseConfig {
             method: DseMethod::Exhaustive,
             sim: fast_sim(),
-            store: Some(root.clone()),
             ..DseConfig::default()
         };
-        let cold = explore(&a, &Platform::default(), &cfg).unwrap();
+        let cold = explore_fresh_store(&a, &Platform::default(), &cfg, &root);
         assert_eq!(cold.store_hits, 0);
         assert_eq!(
             cold.store_misses, 4,
@@ -1420,7 +1297,7 @@ mod tests {
 
         // Fresh process simulation: a new explore (new memo) over the same
         // store must answer everything from disk, bit-identically.
-        let warm = explore(&a, &Platform::default(), &cfg).unwrap();
+        let warm = explore_fresh_store(&a, &Platform::default(), &cfg, &root);
         assert_eq!(warm.store_hits, 4);
         assert_eq!(warm.store_misses, 0);
         assert_eq!(warm.best, cold.best);
@@ -1481,14 +1358,13 @@ mod tests {
         let cfg = DseConfig {
             method: DseMethod::Exhaustive,
             sim: fast_sim(),
-            store: Some(root.clone()),
             ..DseConfig::default()
         };
-        let first = explore(&a, &platform, &cfg).unwrap();
+        let first = explore_fresh_store(&a, &platform, &cfg, &root);
         assert_eq!(first.panics.len(), 1);
         // Only the surviving all-software evaluation was persisted; the
         // panicked candidate must stay unpublished and re-run next time.
-        let second = explore(&a, &platform, &cfg).unwrap();
+        let second = explore_fresh_store(&a, &platform, &cfg, &root);
         assert_eq!(second.store_hits, 1);
         assert_eq!(second.store_misses, 1);
         assert_eq!(second.panics.len(), 1);

@@ -7,10 +7,10 @@
 //! digests of canonical snap encodings: every semantically relevant field is
 //! written with fixed tags and little-endian scalars, in declaration order,
 //! with collection lengths prefixed. Nothing depends on pointer values,
-//! hash-map iteration order, or `Debug` formatting (the
-//! [`checkpoint::design_fingerprint`](crate::checkpoint::design_fingerprint)
-//! precedent hashes Debug strings, which is fine for same-process snapshot
-//! guards but not for a shared on-disk store).
+//! hash-map iteration order, or `Debug` formatting (the crate-private
+//! `checkpoint::design_fingerprint` precedent hashes Debug strings, which
+//! is fine for same-process snapshot guards but not for a shared on-disk
+//! store).
 //!
 //! Names are included deliberately: an application's buffer/thread names and
 //! a kernel's name are part of its declared content (two apps that differ

@@ -77,7 +77,7 @@ pub mod sim;
 mod step;
 
 pub use app::{Application, ApplicationBuilder, ArgSpec, SyncAction, SyncSpec};
-pub use budget::{host_cores, worker_budget};
+pub use budget::{host_cores, map_ordered, worker_budget};
 pub use checkpoint::{
     bisect_divergence, digest_at, fork_swap_sweep, BisectSide, Checkpoint, Divergence, ForkArm,
     ForkError,

@@ -136,7 +136,7 @@ fn plan(design: &SystemDesign, cfg: &SimConfig) -> ShardPlan {
 }
 
 /// The effective shard count the planner grants `design` under `cfg`:
-/// `cfg.shards` clamped to the thread count (and [`MAX_SHARDS`]), forced
+/// `cfg.shards` clamped to the thread count (and to 64 shards), forced
 /// to 1 for software-under-pressure designs. [`crate::sim::simulate`]
 /// dispatches to the sharded engine exactly when this exceeds 1.
 pub fn planned_shards(design: &SystemDesign, cfg: &SimConfig) -> usize {

@@ -264,7 +264,10 @@ pub struct ShardSyncStats {
     /// Σ over (window × shard) of idle cycles between a shard's last event
     /// and the window edge — the conservative-lookahead synchronization
     /// cost. When this dominates `windows × window length × shards`, the
-    /// shards are starved and a larger window (or fewer shards) would pay.
+    /// shards are starved and fewer shards would pay. A `shard_window`
+    /// above the derived lookahead is no remedy: faults crossing shards
+    /// wait for the next barrier, so a longer window stretches simulated
+    /// time, not just host time.
     pub barrier_wait_cycles: u64,
     /// Shards the run executed on.
     pub shards: u64,
@@ -428,7 +431,9 @@ impl SimOutcome {
     /// Human-readable run-health warnings for summary reports. Today this
     /// flags one condition: a sharded run whose shards spent most of their
     /// cycles idle at window barriers — the parallelism is not paying and
-    /// a larger `shard_window` (or fewer shards) would.
+    /// fewer shards would. The warning does not suggest a larger
+    /// `shard_window`: above the derived lookahead, cross-shard faults wait
+    /// for the next barrier and the simulated makespan grows.
     pub fn summary_warnings(&self) -> Vec<String> {
         let mut warnings = Vec::new();
         if let Some(sync) = &self.sync {
@@ -436,7 +441,8 @@ impl SimOutcome {
             if sync.windows > 0 && frac > 0.5 {
                 warnings.push(format!(
                     "barrier wait dominates: {:.0}% of shard-cycles idle across {} windows \
-                     ({} shards, window {} cycles) — raise shard_window or lower shards",
+                     ({} shards, window {} cycles) — lower shards (a larger shard_window \
+                     would delay cross-shard faults and change simulated time)",
                     frac * 100.0,
                     sync.windows,
                     sync.shards,

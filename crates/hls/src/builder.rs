@@ -1,8 +1,8 @@
 //! The kernel builder: the ergonomic way to construct IR.
 //!
 //! The builder keeps a current insertion block, hands out [`Value`]s, and
-//! runs the [verifier](crate::verify) when finished so malformed kernels are
-//! rejected at construction time rather than deep inside the scheduler.
+//! runs the [verifier](mod@crate::verify) when finished so malformed kernels
+//! are rejected at construction time rather than deep inside the scheduler.
 
 use crate::ir::{BinOp, Block, BlockId, CmpOp, Instr, Kernel, Op, Terminator, Value, Width};
 use crate::verify::{verify, VerifyError};

@@ -106,12 +106,6 @@ impl CompiledKernel {
         }
         self.schedules[to.0 as usize].length as u64
     }
-
-    /// Total FSM cycles of a straight (non-pipelined) pass over all blocks —
-    /// a crude static latency indicator used in reports.
-    pub fn static_state_count(&self) -> u32 {
-        self.states
-    }
 }
 
 /// Compiles a kernel.

@@ -2,11 +2,12 @@
 //!
 //! A from-scratch HLS pipeline sized for the reproduction: kernels are small
 //! SSA functions ([`ir`]), built with [`builder::KernelBuilder`], verified
-//! ([`verify`]), optimized ([`opt`]), scheduled per block ([`sched`]) with
-//! modulo-scheduled loop pipelining ([`pipeline`]), bound to functional
-//! units and registers ([`bind`]), estimated in fabric resources and Fmax
-//! ([`resource`]), and packaged as a [`fsmd::CompiledKernel`] for the
-//! execution engine. [`verilog::emit_verilog`] renders the FSMD as RTL text.
+//! ([`verify`](mod@verify)), optimized ([`opt`]), scheduled per block
+//! ([`sched`]) with modulo-scheduled loop pipelining ([`pipeline`]), bound
+//! to functional units and registers ([`bind`]), estimated in fabric
+//! resources and Fmax ([`resource`]), and packaged as a
+//! [`fsmd::CompiledKernel`] for the execution engine.
+//! [`verilog::emit_verilog`] renders the FSMD as RTL text.
 //!
 //! Functional semantics come from one place — the resumable interpreter in
 //! [`interp`] — which both the software (CPU) and hardware (FSMD) execution

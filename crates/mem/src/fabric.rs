@@ -122,16 +122,6 @@ impl FabricConfig {
         }
     }
 
-    /// A blocking/split variant of `self` with the given outstanding depth
-    /// and MSHR count (the DSE fabric-axis constructor).
-    pub fn with_outstanding(&self, window: u32, mshrs: u32) -> Self {
-        FabricConfig {
-            window,
-            mshrs,
-            ..self.clone()
-        }
-    }
-
     /// Whether this configuration runs the split (phase-decoupled) path.
     /// Depth-1 windows with no MSHRs degenerate to the held-bus oracle.
     pub fn split(&self) -> bool {
@@ -510,8 +500,8 @@ impl SplitFabric {
     /// # Panics
     ///
     /// Panics if `id` was never issued or its record has been retired from
-    /// the bounded ring (issue more than [`RECORD_RING`]-ish transactions
-    /// without polling and the oldest records recycle).
+    /// the bounded ring (issue more than about 4,096 transactions without
+    /// polling and the oldest records recycle).
     pub fn poll(&self, id: TxnId) -> Cycle {
         self.record(id).completion
     }

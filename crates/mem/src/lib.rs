@@ -8,7 +8,7 @@
 //! * [`SplitFabric`] — the split-transaction memory fabric: issue/complete
 //!   transactions, per-master outstanding windows, MSHR merging, decoupled
 //!   address/data phases. [`FabricPort`] is the per-master handle.
-//! * [`reference::FcfsBus`](reference) — the retained blocking FCFS bus,
+//! * [`reference::FcfsBus`](mod@reference) — the retained blocking FCFS bus,
 //!   kept as the differential oracle for the fabric.
 //! * [`Dram`] — banked DRAM with an open-row policy.
 //! * [`MemorySystem`] — the façade every bus master talks to; timed accesses

@@ -25,9 +25,7 @@
 //! [`ServeReport::economics`] shows the work moving from "simulated" to
 //! "store".
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex};
-use std::thread;
+use std::sync::mpsc;
 
 use svmsyn::dse::{explore_with_store, DseConfig, DseError, DseResult};
 use svmsyn::report::{fmt_cycles, fmt_ratio, Table};
@@ -42,9 +40,9 @@ pub struct SweepJob {
     pub app: Application,
     /// The platform axis: one DSE exploration per entry.
     pub platforms: Vec<Platform>,
-    /// Search/simulation options. `dse.store` is ignored by the service —
-    /// the shared handle passed to [`SweepService::new`] is used instead,
-    /// so every job hits the same cache.
+    /// Search/simulation options. Every job runs against the one store
+    /// handle passed to [`SweepService::new`], so every job hits the same
+    /// cache.
     pub dse: DseConfig,
     /// Accounting identity of the submitter.
     pub tenant: String,
@@ -333,10 +331,11 @@ impl SweepService {
         id
     }
 
-    /// Drains the queue: workers claim jobs off a shared index, evaluate
-    /// every platform cell via [`explore_with_store`] against the shared
-    /// handle, and stream progress. Returns the consolidated report with
-    /// cells in deterministic (job, platform) order.
+    /// Drains the queue: jobs run on a [`svmsyn::map_ordered`] pool, each
+    /// evaluating every platform cell via [`explore_with_store`] against
+    /// the shared handle and streaming progress. Returns the consolidated
+    /// report; results come back in job order, so cells are in (job,
+    /// platform) order by construction.
     ///
     /// Parallelism composes multiplicatively with the DSE engine's own
     /// batch workers — keep `SweepJob::dse.threads` at 1 when the service
@@ -344,6 +343,10 @@ impl SweepService {
     /// (`SweepJob::dse.sim.shards > 1`) multiply the same way, so the pool
     /// is budgeted down with [`svmsyn::worker_budget`] against the widest
     /// shard count in the queue.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a job panics; the message names the job.
     pub fn drain(self) -> ServeReport {
         let SweepService {
             jobs,
@@ -352,59 +355,48 @@ impl SweepService {
             events,
         } = self;
         let store_ref = store.as_ref();
-        let results: Mutex<Vec<Option<CellResult>>> = Mutex::new(vec![None; total_cells(&jobs)]);
-        let cell_base = cell_offsets(&jobs);
-        let next_job = AtomicUsize::new(0);
         let widest_shards = jobs
             .iter()
             .map(|j| j.dse.sim.shards as usize)
             .max()
             .unwrap_or(1);
-        let pool = svmsyn::worker_budget(workers, widest_shards)
-            .min(jobs.len())
-            .max(1);
-
-        thread::scope(|scope| {
-            for _ in 0..pool {
-                let events = events.clone();
-                let results = &results;
-                let jobs = &jobs;
-                let cell_base = &cell_base;
-                let next_job = &next_job;
-                scope.spawn(move || loop {
-                    let id = next_job.fetch_add(1, Ordering::Relaxed);
-                    let Some(job) = jobs.get(id) else { break };
-                    let _ = events.send(ProgressEvent::Started { job: id });
-                    for (pi, platform) in job.platforms.iter().enumerate() {
-                        let outcome = explore_with_store(&job.app, platform, &job.dse, store_ref);
-                        if let Ok(r) = &outcome {
-                            let _ = events.send(ProgressEvent::Evaluated {
-                                job: id,
-                                platform: pi,
-                                evaluated: r.evaluated,
-                                cached: r.cache_hits + r.store_hits,
-                            });
-                        }
-                        let cell = CellResult {
+        let pool = svmsyn::worker_budget(workers, widest_shards);
+        let run_job = |&(id, job): &(JobId, &SweepJob)| {
+            let _ = events.send(ProgressEvent::Started { job: id });
+            let cells: Vec<CellResult> = job
+                .platforms
+                .iter()
+                .enumerate()
+                .map(|(pi, platform)| {
+                    let outcome = explore_with_store(&job.app, platform, &job.dse, store_ref);
+                    if let Ok(r) = &outcome {
+                        let _ = events.send(ProgressEvent::Evaluated {
                             job: id,
-                            tenant: job.tenant.clone(),
-                            app: job.app.name.clone(),
-                            platform: platform.name.clone(),
-                            platform_index: pi,
-                            outcome,
-                        };
-                        results.lock().unwrap()[cell_base[id] + pi] = Some(cell);
+                            platform: pi,
+                            evaluated: r.evaluated,
+                            cached: r.cache_hits + r.store_hits,
+                        });
                     }
-                    let _ = events.send(ProgressEvent::Done { job: id });
-                });
-            }
-        });
-
-        let cells: Vec<CellResult> = results
-            .into_inner()
-            .unwrap()
+                    CellResult {
+                        job: id,
+                        tenant: job.tenant.clone(),
+                        app: job.app.name.clone(),
+                        platform: platform.name.clone(),
+                        platform_index: pi,
+                        outcome,
+                    }
+                })
+                .collect();
+            let _ = events.send(ProgressEvent::Done { job: id });
+            cells
+        };
+        let numbered: Vec<(JobId, &SweepJob)> = jobs.iter().enumerate().collect();
+        let cells: Vec<CellResult> = svmsyn::map_ordered(&numbered, pool, run_job)
             .into_iter()
-            .map(|c| c.expect("every cell evaluated by the pool"))
+            .enumerate()
+            .flat_map(|(id, cells)| {
+                cells.unwrap_or_else(|message| panic!("sweep job {id} panicked: {message}"))
+            })
             .collect();
         let tenants = aggregate_tenants(&jobs, &cells);
         ServeReport {
@@ -413,22 +405,6 @@ impl SweepService {
             store: store.map(|s| s.stats()),
         }
     }
-}
-
-fn total_cells(jobs: &[SweepJob]) -> usize {
-    jobs.iter().map(|j| j.platforms.len()).sum()
-}
-
-/// Flat index of each job's first cell: cells are stored job-major so the
-/// report order is deterministic no matter which worker ran what.
-fn cell_offsets(jobs: &[SweepJob]) -> Vec<usize> {
-    let mut offsets = Vec::with_capacity(jobs.len());
-    let mut base = 0;
-    for j in jobs {
-        offsets.push(base);
-        base += j.platforms.len();
-    }
-    offsets
 }
 
 fn aggregate_tenants(jobs: &[SweepJob], cells: &[CellResult]) -> Vec<TenantStats> {

@@ -1,8 +1,7 @@
 //! The per-hardware-thread memory management unit.
 //!
-//! An [`Mmu`] combines the [`Tlb`](crate::tlb::Tlb) and the
-//! [`PageTableWalker`](crate::walker::PageTableWalker) behind a single
-//! [`translate`](Mmu::translate) entry point. Faults are *reported*, not
+//! An [`Mmu`] combines the [`Tlb`] and the [`PageTableWalker`] behind a
+//! single [`translate`](Mmu::translate) entry point. Faults are *reported*, not
 //! handled: the MEMIF raises them to the delegate thread, the OS services
 //! them, and the access is retried — the paper's SVM execution model.
 
@@ -182,11 +181,6 @@ impl Mmu {
     /// The currently bound `(asid, root)`, if any.
     pub fn context(&self) -> Option<(Asid, PhysAddr)> {
         self.context
-    }
-
-    /// Direct TLB access (for shootdowns and tests).
-    pub fn tlb_mut(&mut self) -> &mut Tlb {
-        &mut self.tlb
     }
 
     /// Read-only TLB view.
