@@ -3,7 +3,7 @@
 //! One interpreter serves three consumers:
 //!
 //! * **golden-model runs** ([`run`]) for tests and software references,
-//! * the **CPU execution model** in `svmsyn-os`, which costs each yielded
+//! * the **CPU execution model** in `svmsyn-os`, which costs each
 //!   event with a CPI table and a cache model,
 //! * the **FSMD execution engine** in `svmsyn-hwt`, which ignores per-op
 //!   events and charges schedule-derived block times, but uses the same
@@ -13,6 +13,13 @@
 //! The interpreter *yields* at every costed operation instead of owning the
 //! clock: `next()` returns an [`InterpEvent`]; memory loads pause the machine
 //! until the caller supplies data via [`Interp::provide_load`].
+//!
+//! The two timed executors do not take a yield per event. They pass an
+//! [`InterpHooks`] implementation to [`Interp::run_hooked`] (or
+//! [`Interp::run_hooked_dep`]), and the dispatch loop calls the hook for
+//! every block change, load and store inline; it returns only when a hook
+//! stops or declines, or at `Done`. `next`, `next_mem` and `next_mem_dep`
+//! are the same loop with hooks that decline every event.
 //!
 //! Since the pre-decode rework, [`Interp`] executes a flat
 //! [`DecodedKernel`] micro-op program (see [`crate::decode`]) instead of
@@ -62,6 +69,59 @@ pub enum InterpEvent {
         /// The return value, if any.
         ret: Option<i64>,
     },
+}
+
+/// What an [`InterpHooks`] method did with the event it was handed.
+///
+/// `T` is what a handled event hands back to the interpreter: the load
+/// hook's `(raw data, dependence token)`, nothing for the other hooks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Flow<T = ()> {
+    /// Handled; keep executing.
+    Continue(T),
+    /// Handled; return to the caller now (for example, the cycle budget is
+    /// spent). A load's data is delivered before the interpreter returns.
+    Stop(T),
+    /// Not handled: the interpreter yields the event exactly as
+    /// [`Interp::next_mem_dep`] would (a declined load leaves the machine
+    /// waiting for [`Interp::provide_load_dep`]), and the caller replays it
+    /// later.
+    Decline,
+}
+
+/// Inline handlers for the events of [`Interp::run_hooked`].
+///
+/// `dep` is the event's dependence token, as
+/// [`next_mem_dep`](Interp::next_mem_dep) reports it; it is always `0`
+/// under [`run_hooked`](Interp::run_hooked), which does not track
+/// dependences. `Done` has no hook: it always ends the run.
+pub trait InterpHooks {
+    /// Control moved from block `from` to block `to`.
+    fn block_change(&mut self, from: BlockId, to: BlockId, dep: u32) -> Flow;
+    /// A load of `width` bytes at `addr`. A handled load hands back the raw
+    /// little-endian data and its dependence token, as for
+    /// [`Interp::provide_load_dep`].
+    fn load(&mut self, addr: u64, width: Width, dep: u32) -> Flow<(u64, u32)>;
+    /// A store of `value` (already truncated to `width`) at `addr`.
+    fn store(&mut self, addr: u64, width: Width, value: u64, dep: u32) -> Flow;
+}
+
+/// The hooks behind `next`, `next_mem` and `next_mem_dep`: every event is
+/// declined, so each one is yielded to the caller.
+struct YieldAll;
+
+impl InterpHooks for YieldAll {
+    fn block_change(&mut self, _: BlockId, _: BlockId, _: u32) -> Flow {
+        Flow::Decline
+    }
+
+    fn load(&mut self, _: u64, _: Width, _: u32) -> Flow<(u64, u32)> {
+        Flow::Decline
+    }
+
+    fn store(&mut self, _: u64, _: Width, _: u64, _: u32) -> Flow {
+        Flow::Decline
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -245,10 +305,7 @@ impl Interp {
             .pending_load
             .take()
             .expect("provide_load called with no pending load");
-        self.vals[dst as usize] = width.sign_extend(raw);
-        if !self.poison.is_empty() {
-            self.poison[dst as usize] = token;
-        }
+        deliver(&mut self.vals, &mut self.poison, dst, width, raw, token);
         self.state = State::Running;
     }
 
@@ -260,18 +317,18 @@ impl Interp {
     /// step limit is exceeded.
     #[allow(clippy::should_implement_trait)] // established API; not an Iterator
     pub fn next(&mut self) -> InterpEvent {
-        self.step::<true, false>().0
+        self.yield_next::<true, false>().0
     }
 
     /// Like [`next`][Self::next], but executes compute operations silently:
     /// only `Load`/`Store`/`BlockChange`/`Done` are yielded, never
     /// [`InterpEvent::Op`]. Values, memory events, and step counts are
     /// identical to driving [`next`][Self::next] and discarding the `Op`
-    /// yields — which is exactly what the FSMD engine does, since block
-    /// compute time comes from the schedule, not per-op CPI. Skipping the
-    /// yield round-trips keeps the hardware-thread hot loop tight.
+    /// yields. The timed executors charge compute per block, not per op,
+    /// and take these events through [`run_hooked`][Self::run_hooked]
+    /// instead of one yield each.
     pub fn next_mem(&mut self) -> InterpEvent {
-        self.step::<false, false>().0
+        self.yield_next::<false, false>().0
     }
 
     /// Like [`next_mem`][Self::next_mem], but additionally reports the
@@ -291,13 +348,59 @@ impl Interp {
     /// selects the youngest dependence. Event sequences and values are
     /// identical to [`next_mem`][Self::next_mem]; only the token is extra.
     pub fn next_mem_dep(&mut self) -> (InterpEvent, u32) {
+        self.track_deps();
+        self.yield_next::<false, true>()
+    }
+
+    /// Executes like [`next_mem`][Self::next_mem], but hands every block
+    /// change, load and store to `hooks` inline instead of yielding it.
+    ///
+    /// Returns `None` when a hook answered [`Flow::Stop`]; otherwise the
+    /// event that ended the run and its dependence token (always `0` here):
+    /// an event a hook declined, or `Done`. A declined event leaves the
+    /// machine exactly where [`next_mem`][Self::next_mem] would after
+    /// yielding it, so the caller may replay it through the same hook and,
+    /// for a load, [`provide_load_dep`](Self::provide_load_dep).
+    ///
+    /// # Panics
+    ///
+    /// As [`next`][Self::next].
+    pub fn run_hooked<H: InterpHooks>(&mut self, hooks: &mut H) -> Option<(InterpEvent, u32)> {
+        self.dispatch::<H, false, false>(hooks)
+    }
+
+    /// [`run_hooked`][Self::run_hooked] with dependence tracking: each hook
+    /// receives the dependence token [`next_mem_dep`][Self::next_mem_dep]
+    /// would report for its event, and a load hook's token poisons the
+    /// loaded value as [`provide_load_dep`](Self::provide_load_dep) does.
+    ///
+    /// # Panics
+    ///
+    /// As [`next`][Self::next].
+    pub fn run_hooked_dep<H: InterpHooks>(&mut self, hooks: &mut H) -> Option<(InterpEvent, u32)> {
+        self.track_deps();
+        self.dispatch::<H, false, true>(hooks)
+    }
+
+    /// Allocates the poison table on the first dependence-tracking call.
+    fn track_deps(&mut self) {
         if self.poison.is_empty() {
             self.poison = vec![0; self.vals.len().max(1)];
         }
-        self.step::<false, true>()
     }
 
-    fn step<const YIELD_OPS: bool, const TRACK: bool>(&mut self) -> (InterpEvent, u32) {
+    /// One yielded event: the dispatch loop with every event declined.
+    fn yield_next<const YIELD_OPS: bool, const TRACK: bool>(&mut self) -> (InterpEvent, u32) {
+        self.dispatch::<YieldAll, YIELD_OPS, TRACK>(&mut YieldAll)
+            .expect("declining hooks never stop")
+    }
+
+    /// The dispatch loop. Returns `None` when a hook stops, otherwise the
+    /// yielded event and its dependence token.
+    fn dispatch<H: InterpHooks, const YIELD_OPS: bool, const TRACK: bool>(
+        &mut self,
+        hooks: &mut H,
+    ) -> Option<(InterpEvent, u32)> {
         // Driver-contract panics, not workload-reachable: the executors
         // (HwThread, SwExec) always provide a pending load before stepping
         // again and stop at `Done`; no kernel content can trigger these.
@@ -308,7 +411,7 @@ impl Interp {
         }
         // Destructure into disjoint borrows so the dispatch loop runs over a
         // directly-held uop slice and value table, with pc/steps hoisted
-        // into locals (written back at every yield).
+        // into locals (written back whenever the loop returns).
         let Interp {
             prog,
             vals,
@@ -327,16 +430,21 @@ impl Interp {
         let mut pcv = *pc;
         let mut stepsv = *steps;
         let mut ctrlv = *ctrl_poison;
+        macro_rules! leave {
+            ($out:expr) => {{
+                *pc = pcv;
+                *steps = stepsv;
+                *ctrl_poison = ctrlv;
+                return $out;
+            }};
+        }
         macro_rules! yield_ev {
             ($ev:expr) => {
                 yield_ev!($ev, 0)
             };
-            ($ev:expr, $dep:expr) => {{
-                *pc = pcv;
-                *steps = stepsv;
-                *ctrl_poison = ctrlv;
-                return ($ev, $dep);
-            }};
+            ($ev:expr, $dep:expr) => {
+                leave!(Some(($ev, $dep)))
+            };
         }
         macro_rules! bin {
             ($u:ident, $class:expr, $f:expr) => {{
@@ -424,16 +532,28 @@ impl Interp {
                     }
                 }
                 UCode::Load => {
-                    *pending_load = Some((u.dst, u.width));
-                    *state = State::AwaitLoad;
+                    let addr = vals[u.a as usize] as u64;
                     let dep = if TRACK { poison[u.a as usize] } else { 0 };
-                    yield_ev!(
-                        InterpEvent::Load {
-                            addr: vals[u.a as usize] as u64,
-                            width: u.width,
-                        },
-                        dep
-                    );
+                    match hooks.load(addr, u.width, dep) {
+                        Flow::Continue((raw, token)) => {
+                            deliver(vals, poison, u.dst, u.width, raw, token);
+                        }
+                        Flow::Stop((raw, token)) => {
+                            deliver(vals, poison, u.dst, u.width, raw, token);
+                            leave!(None);
+                        }
+                        Flow::Decline => {
+                            *pending_load = Some((u.dst, u.width));
+                            *state = State::AwaitLoad;
+                            yield_ev!(
+                                InterpEvent::Load {
+                                    addr,
+                                    width: u.width,
+                                },
+                                dep
+                            );
+                        }
+                    }
                 }
                 UCode::Store => {
                     let dep = if TRACK {
@@ -441,14 +561,20 @@ impl Interp {
                     } else {
                         0
                     };
-                    yield_ev!(
-                        InterpEvent::Store {
-                            addr: vals[u.a as usize] as u64,
-                            width: u.width,
-                            value: u.width.truncate(vals[u.b as usize]),
-                        },
-                        dep
-                    );
+                    let addr = vals[u.a as usize] as u64;
+                    let value = u.width.truncate(vals[u.b as usize]);
+                    match hooks.store(addr, u.width, value, dep) {
+                        Flow::Continue(()) => {}
+                        Flow::Stop(()) => leave!(None),
+                        Flow::Decline => yield_ev!(
+                            InterpEvent::Store {
+                                addr,
+                                width: u.width,
+                                value,
+                            },
+                            dep
+                        ),
+                    }
                 }
                 UCode::Move => {
                     vals[u.dst as usize] = vals[u.a as usize];
@@ -466,13 +592,12 @@ impl Interp {
                     // the control dependence surfaces, then it is spent.
                     let dep = ctrlv;
                     ctrlv = 0;
-                    yield_ev!(
-                        InterpEvent::BlockChange {
-                            from: BlockId(u.a),
-                            to: BlockId(u.b),
-                        },
-                        dep
-                    );
+                    let (from, to) = (BlockId(u.a), BlockId(u.b));
+                    match hooks.block_change(from, to, dep) {
+                        Flow::Continue(()) => {}
+                        Flow::Stop(()) => leave!(None),
+                        Flow::Decline => yield_ev!(InterpEvent::BlockChange { from, to }, dep),
+                    }
                 }
                 UCode::Branch => {
                     pcv = if vals[u.c as usize] != 0 { u.dst } else { u.a };
@@ -495,6 +620,16 @@ impl Interp {
                 UCode::Nop => {}
             }
         }
+    }
+}
+
+/// Writes a load's data into its destination slot and, when dependences
+/// are tracked, its token into the slot's poison.
+#[inline(always)]
+fn deliver(vals: &mut [i64], poison: &mut [u32], dst: u32, width: Width, raw: u64, token: u32) {
+    vals[dst as usize] = width.sign_extend(raw);
+    if !poison.is_empty() {
+        poison[dst as usize] = token;
     }
 }
 
@@ -1274,6 +1409,105 @@ mod tests {
         let (ev, dep) = i.next_mem_dep();
         assert!(matches!(ev, InterpEvent::Done { ret: Some(1) }));
         assert_eq!(dep, 3, "return value is the poisoned load");
+    }
+
+    /// Hooks that serve each load as `addr + 1` with token 4 and stop after
+    /// it, decline every store, and pass block changes.
+    #[derive(Default)]
+    struct StopDecline {
+        seen: Vec<(InterpEvent, u32)>,
+    }
+
+    impl InterpHooks for StopDecline {
+        fn block_change(&mut self, from: BlockId, to: BlockId, dep: u32) -> Flow {
+            self.seen.push((InterpEvent::BlockChange { from, to }, dep));
+            Flow::Continue(())
+        }
+
+        fn load(&mut self, addr: u64, width: Width, dep: u32) -> Flow<(u64, u32)> {
+            self.seen.push((InterpEvent::Load { addr, width }, dep));
+            Flow::Stop((addr + 1, 4))
+        }
+
+        fn store(&mut self, _: u64, _: Width, _: u64, _: u32) -> Flow {
+            Flow::Decline
+        }
+    }
+
+    #[test]
+    fn hooks_stop_after_delivery_and_decline_like_a_yield() {
+        // if (load(base) != 0) store(base, 1); return the loaded value.
+        let mut b = KernelBuilder::new("ctrl", 1);
+        let then_b = b.new_block();
+        let exit = b.new_block();
+        let base = b.arg(0);
+        let v = b.load(base, Width::W32);
+        let zero = b.constant(0);
+        let c = b.cmp(CmpOp::Ne, v, zero);
+        b.branch(c, then_b, exit);
+        b.switch_to(then_b);
+        let one = b.constant(1);
+        b.store(base, one, Width::W32);
+        b.jump(exit);
+        b.switch_to(exit);
+        b.ret(Some(v));
+        let k = Arc::new(b.finish().unwrap());
+        let mut hooked = Interp::new(Arc::clone(&k), &[8]);
+        let mut yielded = Interp::new(k, &[8]);
+        let mut h = StopDecline::default();
+
+        // A stopped load is delivered, value and token, before returning.
+        assert_eq!(hooked.run_hooked_dep(&mut h), None);
+        assert_eq!(hooked.value(v), 9);
+        assert_eq!(yielded.next_mem_dep().0, h.seen[0].0);
+        yielded.provide_load_dep(9, 4);
+
+        // The block change passes with the branch's token; the store is
+        // declined and yielded exactly as next_mem_dep reports it.
+        let declined = hooked.run_hooked_dep(&mut h);
+        assert_eq!(h.seen[1], yielded.next_mem_dep());
+        assert_eq!(declined, Some(yielded.next_mem_dep()));
+        assert!(matches!(
+            declined,
+            Some((
+                InterpEvent::Store {
+                    addr: 8,
+                    value: 1,
+                    ..
+                },
+                0
+            ))
+        ));
+        assert_eq!(hooked.steps(), yielded.steps());
+
+        // A declined store needs no replay call; the run goes on to Done.
+        assert_eq!(h.seen.len(), 2);
+        let done = hooked.run_hooked_dep(&mut h);
+        assert_eq!(h.seen[2], yielded.next_mem_dep());
+        assert_eq!(done, Some(yielded.next_mem_dep()));
+        assert_eq!(done, Some((InterpEvent::Done { ret: Some(9) }, 4)));
+        assert_eq!(hooked.steps(), yielded.steps());
+    }
+
+    #[test]
+    #[should_panic(expected = "pending load")]
+    fn declined_load_awaits_its_data() {
+        struct DeclineLoads;
+        impl InterpHooks for DeclineLoads {
+            fn block_change(&mut self, _: BlockId, _: BlockId, _: u32) -> Flow {
+                Flow::Continue(())
+            }
+            fn load(&mut self, _: u64, _: Width, _: u32) -> Flow<(u64, u32)> {
+                Flow::Decline
+            }
+            fn store(&mut self, _: u64, _: Width, _: u64, _: u32) -> Flow {
+                Flow::Continue(())
+            }
+        }
+        let mut i = Interp::new(Arc::new(sum_kernel()), &[0, 4]);
+        let ev = i.run_hooked(&mut DeclineLoads);
+        assert!(matches!(ev, Some((InterpEvent::Load { addr: 0, .. }, 0))));
+        i.run_hooked(&mut DeclineLoads); // must panic: load not provided
     }
 
     #[test]

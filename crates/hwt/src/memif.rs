@@ -356,12 +356,15 @@ impl Memif {
         }
     }
 
-    /// Retires outstanding fills completed by `now` — draining their
-    /// registered fabric waiters with them, so the waiter list stays
-    /// bounded by the miss window — and returns whether any fill is still
-    /// in flight afterwards (the hit-under-miss condition).
+    /// Retires outstanding fills completed by `now` — and their registered
+    /// fabric waiters with them, so the waiter list stays bounded by the
+    /// miss window — and returns whether any fill is still in flight
+    /// afterwards (the hit-under-miss condition). Runs on every
+    /// non-blocking access, so the waiters go through
+    /// [`MemorySystem::retire_woken`], which allocates nothing and rewrites
+    /// the list only when a waiter is due.
     fn purge_fills(&mut self, mem: &mut MemorySystem, now: Cycle) -> bool {
-        mem.drain_woken(self.port.master(), now);
+        mem.retire_woken(self.port.master(), now);
         self.outstanding.retain(|&(_, done)| done > now);
         !self.outstanding.is_empty()
     }
@@ -590,7 +593,7 @@ impl Memif {
             .map_or(now, |d| d.max(now));
         self.miss_stall_cycles += (end - now).0;
         self.outstanding.clear();
-        mem.drain_woken(self.port.master(), end);
+        mem.retire_woken(self.port.master(), end);
         end
     }
 

@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use svmsyn_hls::fsmd::CompiledKernel;
-use svmsyn_hls::interp::{Interp, InterpEvent};
+use svmsyn_hls::interp::{Flow, Interp, InterpEvent, InterpHooks};
 use svmsyn_hls::ir::{BlockId, Width};
 use svmsyn_mem::{MasterId, MemorySystem, PhysAddr, VirtAddr};
 use svmsyn_sim::{Cycle, StatSet};
@@ -83,8 +83,16 @@ enum Pending {
 /// See the crate-level example in [`svmsyn_hwt`](crate).
 #[derive(Debug, Clone)]
 pub struct HwThread {
-    compiled: Arc<CompiledKernel>,
     interp: Interp,
+    core: HwCore,
+}
+
+/// Everything of a hardware thread but its interpreter, so that the
+/// interpreter's hooks (see [`Advance`]) can borrow it while the
+/// interpreter runs.
+#[derive(Debug, Clone)]
+struct HwCore {
+    compiled: Arc<CompiledKernel>,
     memif: Memif,
     cur_block: BlockId,
     started: bool,
@@ -129,43 +137,45 @@ impl HwThread {
         let entry = compiled.kernel.entry;
         let interp = Interp::from_decoded(Arc::clone(&compiled.decoded), args);
         HwThread {
-            compiled,
             interp,
-            memif: Memif::new(cfg.memif, master),
-            cur_block: entry,
-            started: false,
-            pending: None,
-            finished: false,
-            mem_ops: 0,
-            compute_cycles: 0,
-            mem_credit: 0,
-            hidden_mem_cycles: 0,
-            dep_fills: Vec::new(),
-            next_token: 0,
-            last_fill_done: Cycle::ZERO,
-            parked: None,
-            miss_parks: 0,
+            core: HwCore {
+                compiled,
+                memif: Memif::new(cfg.memif, master),
+                cur_block: entry,
+                started: false,
+                pending: None,
+                finished: false,
+                mem_ops: 0,
+                compute_cycles: 0,
+                mem_credit: 0,
+                hidden_mem_cycles: 0,
+                dep_fills: Vec::new(),
+                next_token: 0,
+                last_fill_done: Cycle::ZERO,
+                parked: None,
+                miss_parks: 0,
+            },
         }
     }
 
     /// Binds the thread's MMU to an address space.
     pub fn set_context(&mut self, asid: Asid, root: PhysAddr) {
-        self.memif.set_context(asid, root);
+        self.core.memif.set_context(asid, root);
     }
 
     /// The memory interface (for statistics).
     pub fn memif(&self) -> &Memif {
-        &self.memif
+        &self.core.memif
     }
 
     /// Mutable memory-interface access (TLB shootdowns).
     pub fn memif_mut(&mut self) -> &mut Memif {
-        &mut self.memif
+        &mut self.core.memif
     }
 
     /// The compiled kernel this thread executes.
     pub fn compiled(&self) -> &CompiledKernel {
-        &self.compiled
+        &self.core.compiled
     }
 
     /// Turns on the interpreter's per-block entry counting (BBV phase
@@ -181,7 +191,7 @@ impl HwThread {
 
     /// Whether the kernel has completed.
     pub fn is_finished(&self) -> bool {
-        self.finished
+        self.core.finished
     }
 
     /// Memory operations issued so far. A faulted access's retries do not
@@ -189,9 +199,114 @@ impl HwThread {
     /// access keeps losing its frames — the signal the simulator's
     /// per-access thrash detector keys on.
     pub fn mem_ops_issued(&self) -> u64 {
-        self.mem_ops
+        self.core.mem_ops
     }
 
+    /// Advances execution from `now` until the kernel finishes, a page fault
+    /// needs service, or `budget` cycles of thread-local time elapse.
+    ///
+    /// The interpreter runs with this call's hooks, so block changes, loads
+    /// and stores are handled inside its dispatch loop. It returns here
+    /// only when a hook stops it — the budget is spent, an access faults,
+    /// or a micro-op parks on a live dependence token — or at `Done`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called after [`HwStep::Finished`] was returned, or if no
+    /// context was bound.
+    pub fn advance(&mut self, mem: &mut MemorySystem, now: Cycle, budget: u64) -> HwStep {
+        // Caller-contract assert, not workload-reachable: the simulator
+        // retires a thread from scheduling on `Finished`, so no kernel
+        // content can re-enter a finished thread.
+        assert!(
+            !self.core.finished,
+            "advance called on a finished hardware thread"
+        );
+        let nonblocking = self.core.memif.miss_depth() > 1;
+        let mut cx = Advance {
+            core: &mut self.core,
+            mem,
+            start: now,
+            budget,
+            t: now,
+            nonblocking,
+            step: None,
+        };
+        if !cx.core.started {
+            cx.core.started = true;
+            let cost = cx.core.compiled.enter_costs[cx.core.compiled.kernel.entry.0 as usize];
+            cx.core.charge(&mut cx.t, cost);
+        }
+        // Retry a faulted access first (the OS has serviced the fault).
+        if let Err(step) = cx.retry_pending(&mut self.interp) {
+            return step;
+        }
+        if cx.spent() {
+            return HwStep::Yielded { now: cx.t };
+        }
+        // A parked micro-op resumes first: its wake was scheduled at the
+        // fill's exact completion cycle, and the stall was already booked
+        // when it parked. It replays through the hook that parked it.
+        if let Some((ev, wake)) = cx.core.parked.take() {
+            cx.t = cx.t.max(wake);
+            let flow = match ev {
+                InterpEvent::Load { addr, width } => match cx.load(addr, width, 0) {
+                    Flow::Continue((raw, token)) => {
+                        self.interp.provide_load_dep(raw, token);
+                        Flow::Continue(())
+                    }
+                    Flow::Stop((raw, token)) => {
+                        self.interp.provide_load_dep(raw, token);
+                        Flow::Stop(())
+                    }
+                    Flow::Decline => Flow::Decline,
+                },
+                InterpEvent::Store { addr, width, value } => cx.store(addr, width, value, 0),
+                InterpEvent::BlockChange { from, to } => cx.block_change(from, to, 0),
+                InterpEvent::Done { ret } => return cx.done(ret, 0),
+                // Internal invariant: only hooked events and `Done` park.
+                InterpEvent::Op(_) => unreachable!("compute ops never park"),
+            };
+            match flow {
+                Flow::Continue(()) => {}
+                Flow::Stop(()) => return HwStep::Yielded { now: cx.t },
+                Flow::Decline => return cx.step.take().expect("a declined replay faulted"),
+            }
+        }
+        let end = if nonblocking {
+            self.interp.run_hooked_dep(&mut cx)
+        } else {
+            self.interp.run_hooked(&mut cx)
+        };
+        match end {
+            None => HwStep::Yielded { now: cx.t },
+            Some((ev, dep)) => match cx.step.take() {
+                // A hook declined its event: it parked or faulted.
+                Some(step) => step,
+                None => match ev {
+                    InterpEvent::Done { ret } => cx.done(ret, dep),
+                    // Internal invariant: the hooks decline only with a step.
+                    _ => unreachable!("hooks declined {ev:?} without a step"),
+                },
+            },
+        }
+    }
+
+    /// Counter snapshot (MEMIF and MMU absorbed).
+    pub fn stats(&self) -> StatSet {
+        let c = &self.core;
+        let mut s = StatSet::new();
+        s.put("mem_ops", c.mem_ops as f64);
+        s.put("compute_cycles", c.compute_cycles as f64);
+        s.put("hidden_mem_cycles", c.hidden_mem_cycles as f64);
+        s.put("miss_parks", c.miss_parks as f64);
+        s.put("instrs", self.interp.steps() as f64);
+        s.absorb("memif", c.memif.stats());
+        s
+    }
+}
+
+impl HwCore {
     fn charge(&mut self, t: &mut Cycle, cycles: u64) {
         self.compute_cycles += cycles;
         if cycles > 0 {
@@ -238,8 +353,8 @@ impl HwThread {
     }
 
     /// Executes one load: the non-blocking path charges only the interface
-    /// handshake and hands the interpreter a dependence token for any
-    /// outstanding fill; the blocking path charges to completion (the
+    /// handshake and returns a dependence token for any outstanding fill
+    /// with the data; the blocking path charges to completion (the
     /// pre-event-delivery discipline). On a fault, records the pending
     /// retry and returns the `PageFault` step.
     fn do_load(
@@ -249,7 +364,7 @@ impl HwThread {
         width: Width,
         t: &mut Cycle,
         nonblocking: bool,
-    ) -> Result<(), HwStep> {
+    ) -> Result<(u64, u32), HwStep> {
         let from = *t;
         let res = if nonblocking {
             self.memif
@@ -263,10 +378,7 @@ impl HwThread {
         match res {
             Ok((raw, until, fill)) => {
                 self.charge_mem(t, from, until);
-                let token = self.fill_token(fill, *t);
-                self.interp.provide_load_dep(raw, token);
-                self.pending = None;
-                Ok(())
+                Ok((raw, self.fill_token(fill, *t)))
             }
             Err(f) => {
                 self.pending = Some(Pending::Load { va, width });
@@ -301,7 +413,6 @@ impl HwThread {
         match res {
             Ok(until) => {
                 self.charge_mem(t, from, until);
-                self.pending = None;
                 Ok(())
             }
             Err(f) => {
@@ -313,132 +424,158 @@ impl HwThread {
             }
         }
     }
+}
 
-    fn retry_pending(&mut self, mem: &mut MemorySystem, t: &mut Cycle) -> Result<(), HwStep> {
-        let nonblocking = self.memif.miss_depth() > 1;
-        match self.pending {
-            Some(Pending::Load { va, width }) => self.do_load(mem, va, width, t, nonblocking),
+/// One [`HwThread::advance`] call: the interpreter hooks that run every
+/// block change, load and store, and the state they share.
+struct Advance<'a> {
+    core: &'a mut HwCore,
+    mem: &'a mut MemorySystem,
+    /// Thread-local time when the call began.
+    start: Cycle,
+    budget: u64,
+    /// Thread-local time now.
+    t: Cycle,
+    /// Whether the MEMIF is non-blocking (`miss_depth > 1`).
+    nonblocking: bool,
+    /// Why a hook declined its event (a park or a page fault): the step
+    /// `advance` returns.
+    step: Option<HwStep>,
+}
+
+impl Advance<'_> {
+    /// Whether the call's cycle budget is spent. This per-event check is
+    /// where a bound tighter than `budget` would plug in.
+    #[inline]
+    fn spent(&self) -> bool {
+        (self.t - self.start).0 >= self.budget
+    }
+
+    /// A handled event's [`Flow`]: stop once the budget is spent.
+    #[inline]
+    fn flow<T>(&self, v: T) -> Flow<T> {
+        if self.spent() {
+            Flow::Stop(v)
+        } else {
+            Flow::Continue(v)
+        }
+    }
+
+    /// Hit-under-miss dependence check: an event carrying a live token
+    /// parks until that fill's completion; everything else keeps retiring
+    /// under the outstanding misses. Returns whether `ev` parked.
+    #[inline]
+    fn park(&mut self, ev: InterpEvent, dep: u32) -> bool {
+        if dep == 0 {
+            return false;
+        }
+        let t = self.t;
+        let core = &mut *self.core;
+        core.dep_fills.retain(|&(_, done)| done > t);
+        match core.dep_fills.iter().find(|&&(tok, _)| tok == dep) {
+            Some(&(_, done)) => {
+                core.miss_parks += 1;
+                core.memif.note_miss_stall((done - t).0);
+                core.parked = Some((ev, done));
+                self.step = Some(HwStep::Parked { wake: done });
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Retries the access whose page fault the OS has just serviced.
+    fn retry_pending(&mut self, interp: &mut Interp) -> Result<(), HwStep> {
+        let (mem, t, nb) = (&mut *self.mem, &mut self.t, self.nonblocking);
+        match self.core.pending.take() {
+            Some(Pending::Load { va, width }) => {
+                let (raw, token) = self.core.do_load(mem, va, width, t, nb)?;
+                interp.provide_load_dep(raw, token);
+                Ok(())
+            }
             Some(Pending::Store { va, width, raw }) => {
-                self.do_store(mem, va, width, raw, t, nonblocking)
+                self.core.do_store(mem, va, width, raw, t, nb)
             }
             None => Ok(()),
         }
     }
 
-    /// Advances execution from `now` until the kernel finishes, a page fault
-    /// needs service, or `budget` cycles of thread-local time elapse.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called after [`HwStep::Finished`] was returned, or if no
-    /// context was bound.
-    pub fn advance(&mut self, mem: &mut MemorySystem, now: Cycle, budget: u64) -> HwStep {
-        // Driver-contract assert, not workload-reachable: the simulator
-        // retires a thread from scheduling on `Finished`, so no kernel
-        // content can re-enter a finished thread.
-        assert!(
-            !self.finished,
-            "advance called on a finished hardware thread"
-        );
-        let mut t = now;
-
-        if !self.started {
-            self.started = true;
-            let cost = self.compiled.enter_costs[self.compiled.kernel.entry.0 as usize];
-            self.charge(&mut t, cost);
+    /// The kernel returned: once its value's dependence has landed, the
+    /// outstanding fills drain before the final flush — the kernel is only
+    /// done when its last miss is.
+    fn done(&mut self, ret: Option<i64>, dep: u32) -> HwStep {
+        if self.park(InterpEvent::Done { ret }, dep) {
+            return self.step.take().expect("a park sets its step");
         }
-        // Retry a faulted access first (the OS has serviced the fault).
-        if let Err(step) = self.retry_pending(mem, &mut t) {
-            return step;
-        }
+        let core = &mut *self.core;
+        let drained = core.memif.drain_outstanding(self.mem, self.t);
+        let done = core.memif.flush(self.mem, drained);
+        core.finished = true;
+        core.dep_fills.clear();
+        HwStep::Finished { ret, now: done }
+    }
+}
 
-        let nonblocking = self.memif.miss_depth() > 1;
-        loop {
-            if (t - now).0 >= budget {
-                return HwStep::Yielded { now: t };
-            }
-            // A parked micro-op resumes first: its wake was scheduled at
-            // the fill's exact completion cycle, and the stall was already
-            // booked when it parked.
-            // `next_mem` never yields compute ops — block compute time is
-            // charged per transition via the schedule-derived cost matrix.
-            let (ev, dep) = match self.parked.take() {
-                Some((ev, wake)) => {
-                    t = t.max(wake);
-                    (ev, 0)
-                }
-                None if nonblocking => self.interp.next_mem_dep(),
-                None => (self.interp.next_mem(), 0),
-            };
-            // Hit-under-miss dependence check: a micro-op carrying a live
-            // token parks until that fill's completion; everything else
-            // keeps retiring under the outstanding misses.
-            if dep != 0 {
-                self.dep_fills.retain(|&(_, done)| done > t);
-                if let Some(&(_, done)) = self.dep_fills.iter().find(|&&(tok, _)| tok == dep) {
-                    self.miss_parks += 1;
-                    self.memif.note_miss_stall((done - t).0);
-                    self.parked = Some((ev, done));
-                    return HwStep::Parked { wake: done };
-                }
-            }
-            match ev {
-                // Internal invariant, not workload-reachable: `next_mem`
-                // folds compute ops into `BlockChange` events by
-                // construction, for any kernel.
-                InterpEvent::Op(_) => unreachable!("next_mem never yields Op"),
-                InterpEvent::BlockChange { from, to } => {
-                    let nblocks = self.compiled.kernel.blocks.len();
-                    let cost =
-                        self.compiled.enter_costs[(from.0 as usize + 1) * nblocks + to.0 as usize];
-                    self.charge(&mut t, cost);
-                    self.cur_block = to;
-                }
-                InterpEvent::Load { addr, width } => {
-                    self.mem_ops += 1;
-                    // Fault-free fast path: only a faulting access goes
-                    // through the `pending` retry machinery. Non-blocking,
-                    // the thread pays only the interface occupancy — the
-                    // fill latency parks the *dependent* micro-op.
-                    if let Err(step) = self.do_load(mem, VirtAddr(addr), width, &mut t, nonblocking)
-                    {
-                        return step;
-                    }
-                }
-                InterpEvent::Store { addr, width, value } => {
-                    self.mem_ops += 1;
-                    // Fire-and-forget when non-blocking: the store buffer
-                    // absorbs the access at the handshake; a write-allocate
-                    // miss's fill stays tracked in the MEMIF miss window.
-                    if let Err(step) =
-                        self.do_store(mem, VirtAddr(addr), width, value, &mut t, nonblocking)
-                    {
-                        return step;
-                    }
-                }
-                InterpEvent::Done { ret } => {
-                    // Outstanding fills land before the final flush: the
-                    // kernel is only done when its last miss is.
-                    let drained = self.memif.drain_outstanding(mem, t);
-                    let done = self.memif.flush(mem, drained);
-                    self.finished = true;
-                    self.dep_fills.clear();
-                    return HwStep::Finished { ret, now: done };
-                }
+impl InterpHooks for Advance<'_> {
+    /// Charges the schedule-derived cost of entering `to` from `from`: the
+    /// interpreter runs compute ops silently, so block compute time is
+    /// charged per transition from the compiled cost matrix.
+    #[inline]
+    fn block_change(&mut self, from: BlockId, to: BlockId, dep: u32) -> Flow {
+        if self.park(InterpEvent::BlockChange { from, to }, dep) {
+            return Flow::Decline;
+        }
+        let compiled = &self.core.compiled;
+        let nblocks = compiled.kernel.blocks.len();
+        let cost = compiled.enter_costs[(from.0 as usize + 1) * nblocks + to.0 as usize];
+        self.core.charge(&mut self.t, cost);
+        self.core.cur_block = to;
+        self.flow(())
+    }
+
+    /// Fault-free fast path: only a faulting access goes through the
+    /// `pending` retry machinery. Non-blocking, the thread pays only the
+    /// interface occupancy — the fill latency parks the *dependent*
+    /// micro-op.
+    #[inline]
+    fn load(&mut self, addr: u64, width: Width, dep: u32) -> Flow<(u64, u32)> {
+        if self.park(InterpEvent::Load { addr, width }, dep) {
+            return Flow::Decline;
+        }
+        self.core.mem_ops += 1;
+        let va = VirtAddr(addr);
+        match self
+            .core
+            .do_load(self.mem, va, width, &mut self.t, self.nonblocking)
+        {
+            Ok(data) => self.flow(data),
+            Err(step) => {
+                self.step = Some(step);
+                Flow::Decline
             }
         }
     }
 
-    /// Counter snapshot (MEMIF and MMU absorbed).
-    pub fn stats(&self) -> StatSet {
-        let mut s = StatSet::new();
-        s.put("mem_ops", self.mem_ops as f64);
-        s.put("compute_cycles", self.compute_cycles as f64);
-        s.put("hidden_mem_cycles", self.hidden_mem_cycles as f64);
-        s.put("miss_parks", self.miss_parks as f64);
-        s.put("instrs", self.interp.steps() as f64);
-        s.absorb("memif", self.memif.stats());
-        s
+    /// Fire-and-forget when non-blocking: the store buffer absorbs the
+    /// access at the handshake; a write-allocate miss's fill stays tracked
+    /// in the MEMIF miss window.
+    #[inline]
+    fn store(&mut self, addr: u64, width: Width, value: u64, dep: u32) -> Flow {
+        if self.park(InterpEvent::Store { addr, width, value }, dep) {
+            return Flow::Decline;
+        }
+        self.core.mem_ops += 1;
+        let va = VirtAddr(addr);
+        match self
+            .core
+            .do_store(self.mem, va, width, value, &mut self.t, self.nonblocking)
+        {
+            Ok(()) => self.flow(()),
+            Err(step) => {
+                self.step = Some(step);
+                Flow::Decline
+            }
+        }
     }
 }
 
@@ -487,21 +624,22 @@ impl HwThread {
     /// re-supplied at restore.
     pub fn save_state(&self, w: &mut svmsyn_snap::SnapWriter) {
         use svmsyn_snap::Snap;
+        let c = &self.core;
         self.interp.save_state(w);
-        self.memif.save_state(w);
-        self.cur_block.save(w);
-        w.put_bool(self.started);
-        self.pending.save(w);
-        w.put_bool(self.finished);
-        w.put_u64(self.mem_ops);
-        w.put_u64(self.compute_cycles);
-        w.put_u64(self.mem_credit);
-        w.put_u64(self.hidden_mem_cycles);
-        self.dep_fills.save(w);
-        w.put_u32(self.next_token);
-        self.last_fill_done.save(w);
-        self.parked.save(w);
-        w.put_u64(self.miss_parks);
+        c.memif.save_state(w);
+        c.cur_block.save(w);
+        w.put_bool(c.started);
+        c.pending.save(w);
+        w.put_bool(c.finished);
+        w.put_u64(c.mem_ops);
+        w.put_u64(c.compute_cycles);
+        w.put_u64(c.mem_credit);
+        w.put_u64(c.hidden_mem_cycles);
+        c.dep_fills.save(w);
+        w.put_u32(c.next_token);
+        c.last_fill_done.save(w);
+        c.parked.save(w);
+        w.put_u64(c.miss_parks);
     }
 
     /// Rebuilds a thread captured by [`save_state`](Self::save_state) over
@@ -521,22 +659,24 @@ impl HwThread {
             return Err(SnapError::Corrupt("hardware-thread block id"));
         }
         Ok(HwThread {
-            compiled,
             interp,
-            memif,
-            cur_block,
-            started: r.take_bool()?,
-            pending: Option::load(r)?,
-            finished: r.take_bool()?,
-            mem_ops: r.take_u64()?,
-            compute_cycles: r.take_u64()?,
-            mem_credit: r.take_u64()?,
-            hidden_mem_cycles: r.take_u64()?,
-            dep_fills: Vec::load(r)?,
-            next_token: r.take_u32()?,
-            last_fill_done: Cycle::load(r)?,
-            parked: Option::load(r)?,
-            miss_parks: r.take_u64()?,
+            core: HwCore {
+                compiled,
+                memif,
+                cur_block,
+                started: r.take_bool()?,
+                pending: Option::load(r)?,
+                finished: r.take_bool()?,
+                mem_ops: r.take_u64()?,
+                compute_cycles: r.take_u64()?,
+                mem_credit: r.take_u64()?,
+                hidden_mem_cycles: r.take_u64()?,
+                dep_fills: Vec::load(r)?,
+                next_token: r.take_u32()?,
+                last_fill_done: Cycle::load(r)?,
+                parked: Option::load(r)?,
+                miss_parks: r.take_u64()?,
+            },
         })
     }
 }
@@ -734,6 +874,146 @@ mod tests {
         t.set_context(Asid(1), root);
         let _ = t.advance(&mut mem, Cycle(0), u64::MAX);
         let _ = t.advance(&mut mem, Cycle(0), u64::MAX);
+    }
+
+    /// `dst[i] = src[i] + 1` for `i in 0..n`; returns `Σ src[i]`.
+    fn vecadd_sum() -> Kernel {
+        let mut b = KernelBuilder::new("vecadd_sum", 3);
+        let entry = b.current_block();
+        let header = b.new_block();
+        let body = b.new_block();
+        let exit = b.new_block();
+        let src = b.arg(0);
+        let dst = b.arg(1);
+        let n = b.arg(2);
+        let zero = b.constant(0);
+        b.jump(header);
+        b.switch_to(header);
+        let i = b.phi();
+        let acc = b.phi();
+        let c = b.cmp(CmpOp::Lt, i, n);
+        b.branch(c, body, exit);
+        b.switch_to(body);
+        let four = b.constant(4);
+        let off = b.bin(BinOp::Mul, i, four);
+        let sa = b.bin(BinOp::Add, src, off);
+        let da = b.bin(BinOp::Add, dst, off);
+        let v = b.load(sa, Width::W32);
+        let one = b.constant(1);
+        let v2 = b.bin(BinOp::Add, v, one);
+        b.store(da, v2, Width::W32);
+        let acc2 = b.bin(BinOp::Add, acc, v);
+        let i2 = b.bin(BinOp::Add, i, one);
+        b.jump(header);
+        b.switch_to(exit);
+        b.ret(Some(acc));
+        b.set_phi_incoming(i, &[(entry, zero), (body, i2)]);
+        b.set_phi_incoming(acc, &[(entry, zero), (body, acc2)]);
+        b.finish().unwrap()
+    }
+
+    /// How a thread run in fixed-budget advances ended.
+    struct Sliced {
+        end: Cycle,
+        ret: Option<i64>,
+        stats: StatSet,
+        /// Advances that stopped on the budget.
+        yields: u64,
+        /// Whether some advance stopped right after a load, a store, and a
+        /// block change, in that order.
+        stopped_after: [bool; 3],
+    }
+
+    /// Runs `vecadd_sum` over `n` elements to completion in `budget`-cycle
+    /// advances, each resumed where the previous one stopped.
+    fn run_sliced(miss_depth: u32, n: u64, budget: u64) -> (Sliced, Vec<u32>) {
+        let (mut mem, root) = setup(2);
+        for i in 0..n {
+            mem.poke_u32(PhysAddr::from_frame(100).offset(4 * i), 3 * i as u32);
+        }
+        let cfg = HwThreadConfig {
+            memif: MemifConfig {
+                miss_depth,
+                ..Default::default()
+            },
+        };
+        let ck = Arc::new(compile(&vecadd_sum(), &HlsConfig::default()));
+        let mut t = HwThread::new(ck, &[0, 4096, n as i64], &cfg, MasterId(1));
+        t.set_context(Asid(1), root);
+        let stat = |t: &HwThread, k: &str| t.stats().get(k).unwrap() as u64;
+        let mut now = Cycle(0);
+        let mut yields = 0;
+        let mut stopped_after = [false; 3];
+        let sliced = loop {
+            let (loads, stores) = (stat(&t, "memif.loads"), stat(&t, "memif.stores"));
+            let compute = t.core.compute_cycles;
+            let first = !t.core.started;
+            match t.advance(&mut mem, now, budget) {
+                HwStep::Yielded { now: n } => {
+                    // Only a costed event moves time, so the event that
+                    // spent the budget is the one kind whose count moved;
+                    // compute time moves only at block changes after the
+                    // first advance's entry charge.
+                    let moved = (
+                        stat(&t, "memif.loads") - loads,
+                        stat(&t, "memif.stores") - stores,
+                        t.core.compute_cycles > compute,
+                    );
+                    match moved {
+                        (1, 0, false) => stopped_after[0] = true,
+                        (0, 1, false) => stopped_after[1] = true,
+                        (0, 0, true) if !first => stopped_after[2] = true,
+                        _ => {}
+                    }
+                    yields += 1;
+                    now = n;
+                }
+                HwStep::Parked { wake } => now = wake,
+                HwStep::Finished { ret, now } => {
+                    break Sliced {
+                        end: now,
+                        ret,
+                        stats: t.stats(),
+                        yields,
+                        stopped_after,
+                    };
+                }
+                HwStep::PageFault { fault, .. } => panic!("unexpected fault: {fault}"),
+            }
+        };
+        let dst = (0..n)
+            .map(|i| mem.peek_u32(PhysAddr::from_frame(101).offset(4 * i)))
+            .collect();
+        (sliced, dst)
+    }
+
+    #[test]
+    fn advance_budget_does_not_change_the_run() {
+        // Budget 1 stops after nearly every event, so every hook's stop-
+        // and-resume path runs; 17 stops mid-block; u64::MAX never stops.
+        let n = 256u64;
+        for miss_depth in [1, 4] {
+            let (whole, dst) = run_sliced(miss_depth, n, u64::MAX);
+            assert_eq!(whole.ret, Some((0..n as i64).map(|i| 3 * i).sum()));
+            assert_eq!(dst, (0..n as u32).map(|i| 3 * i + 1).collect::<Vec<_>>());
+            assert_eq!(whole.yields, 0);
+            for budget in [1, 17] {
+                let (sliced, sliced_dst) = run_sliced(miss_depth, n, budget);
+                let ctx = format!("miss_depth {miss_depth}, budget {budget}");
+                assert_eq!(sliced.end, whole.end, "{ctx}: finish cycle");
+                assert_eq!(sliced.ret, whole.ret, "{ctx}: return value");
+                assert_eq!(sliced.stats, whole.stats, "{ctx}: stats");
+                assert_eq!(sliced_dst, dst, "{ctx}: output");
+                assert!(sliced.yields > 1, "{ctx}: never stopped");
+                if budget == 1 {
+                    assert!(sliced.yields > n, "{ctx}: only {} stops", sliced.yields);
+                    assert_eq!(
+                        sliced.stopped_after, [true; 3],
+                        "{ctx}: stops after [load, store, block change]"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -43,9 +43,17 @@ const TAG_EMPTY: u64 = u64::MAX;
 /// (`set * ways + way`), the same flattening the TLB uses: the hit scan
 /// sweeps a dense `u64` tag vector (validity folded into a sentinel tag)
 /// instead of chasing per-set `Vec` allocations through 24-byte records,
-/// and the set stride is precomputed at construction. This matters most for
-/// the MEMIF burst cache, which is configured fully associative (one set,
-/// 64 ways) and scans on every access.
+/// and the set stride is precomputed at construction.
+///
+/// Before that scan, an access probes a **way hint**: a table of
+/// `2 × ways` slots (rounded up to a power of two), indexed by a hash of
+/// the line number, each holding the way where that slot's line was last
+/// found or filled. The hinted way is checked against the tag array, so a
+/// stale or colliding hint only costs the scan it would have skipped; the
+/// hint never changes a hit, a miss or a victim, and it is not part of the
+/// snapshot. This matters most for the MEMIF burst cache, which is
+/// configured fully associative (one set, 64 ways): a resident line is
+/// usually found with one probe instead of a 64-way scan.
 #[derive(Debug, Clone)]
 pub struct L1Cache {
     cfg: CacheConfig,
@@ -63,10 +71,11 @@ pub struct L1Cache {
     line_shift: u32,
     /// `log2(sets)`.
     set_shift: u32,
-    /// The most recent distinct hit/fill slots, probed before the set scan:
-    /// streaming kernels cycle through a handful of lines (one per stream —
-    /// vecadd touches three), which these catch in O(1). `u32::MAX` = empty.
-    recent: [u32; 4],
+    /// Way hints by line hash (see the type docs); `0` until written,
+    /// which the tag check treats like any other stale hint.
+    hint: Box<[u32]>,
+    /// `64 − log2(hint.len())`: the hash keeps the product's top bits.
+    hint_shift: u32,
     clock: u64,
     hits: u64,
     misses: u64,
@@ -103,6 +112,7 @@ impl L1Cache {
             "set count must be a power of two"
         );
         let lines = sets * cfg.ways;
+        let hints = (2 * cfg.ways).next_power_of_two();
         L1Cache {
             cfg,
             tags: vec![TAG_EMPTY; lines].into_boxed_slice(),
@@ -112,7 +122,8 @@ impl L1Cache {
             set_mask: sets as u64 - 1,
             line_shift: cfg.line_bytes.trailing_zeros(),
             set_shift: sets.trailing_zeros(),
-            recent: [u32::MAX; 4],
+            hint: vec![0u32; hints].into_boxed_slice(),
+            hint_shift: 64 - hints.trailing_zeros(),
             clock: 0,
             hits: 0,
             misses: 0,
@@ -120,52 +131,53 @@ impl L1Cache {
         }
     }
 
+    /// The way-hint slot of line number `line` (Fibonacci hashing).
     #[inline]
-    fn note_recent(&mut self, slot: usize) {
-        let slot = slot as u32;
-        if self.recent[0] != slot {
-            // Shift-in at the front; duplicates further back age out.
-            self.recent = [slot, self.recent[0], self.recent[1], self.recent[2]];
-        }
+    fn hint_slot(&self, line: u64) -> usize {
+        (line.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.hint_shift) as usize
     }
 
-    fn index(&self, pa: PhysAddr) -> (usize, u64) {
-        let line = pa.0 >> self.line_shift;
-        ((line & self.set_mask) as usize, line >> self.set_shift)
+    /// Records a hit: LRU stamp, dirty bit and way hint.
+    #[inline]
+    fn touch(&mut self, slot: usize, hint: usize, way: usize, write: bool) {
+        self.stamps[slot] = self.clock;
+        self.dirty[slot] |= write;
+        self.hint[hint] = way as u32;
     }
 
     /// Simulates an access; returns the implied bus traffic.
     #[inline]
     pub fn access(&mut self, pa: PhysAddr, write: bool) -> CacheOutcome {
         self.clock += 1;
-        let (set_idx, tag) = self.index(pa);
+        let line = pa.0 >> self.line_shift;
+        let set_idx = (line & self.set_mask) as usize;
+        let tag = line >> self.set_shift;
         let base = set_idx * self.cfg.ways;
-        // Recent-slot probes first (a stale slot simply mismatches on tag).
-        for (i, r) in self.recent.into_iter().enumerate() {
-            let r = r as usize;
-            if r >= base && r < base + self.cfg.ways && self.tags[r] == tag {
-                self.stamps[r] = self.clock;
-                self.dirty[r] |= write;
-                self.hits += 1;
-                if i != 0 {
-                    self.note_recent(r);
-                }
-                return CacheOutcome::Hit;
-            }
+        let hint = self.hint_slot(line);
+        // The hinted way first; a stale hint simply mismatches on tag.
+        let way = self.hint[hint] as usize;
+        if self.tags[base + way] == tag {
+            self.hits += 1;
+            self.touch(base + way, hint, way, write);
+            return CacheOutcome::Hit;
         }
-        self.access_slow(base, set_idx, tag, write)
+        self.access_slow(base, set_idx, tag, hint, write)
     }
 
-    /// The non-recent-slot path: set scan, then fill/eviction.
-    fn access_slow(&mut self, base: usize, set_idx: usize, tag: u64, write: bool) -> CacheOutcome {
+    /// The path past a missed hint: set scan, then fill/eviction.
+    fn access_slow(
+        &mut self,
+        base: usize,
+        set_idx: usize,
+        tag: u64,
+        hint: usize,
+        write: bool,
+    ) -> CacheOutcome {
         // A dense equality scan over the set's tag vector.
         let tags = &self.tags[base..base + self.cfg.ways];
         if let Some(way) = tags.iter().position(|&t| t == tag) {
-            let slot = base + way;
-            self.stamps[slot] = self.clock;
-            self.dirty[slot] |= write;
             self.hits += 1;
-            self.note_recent(slot);
+            self.touch(base + way, hint, way, write);
             return CacheOutcome::Hit;
         }
         self.misses += 1;
@@ -192,7 +204,7 @@ impl L1Cache {
         self.tags[slot] = tag;
         self.stamps[slot] = self.clock;
         self.dirty[slot] = write;
-        self.note_recent(slot);
+        self.hint[hint] = victim as u32;
         CacheOutcome::Miss { writeback }
     }
 
@@ -246,8 +258,8 @@ impl L1Cache {
 
 impl L1Cache {
     /// Serializes tags, LRU stamps, dirty bits and counters. Geometry is
-    /// config; the recent-slot memo is a pure probe accelerator (it never
-    /// changes hit/miss outcomes or victim choice) and is not captured.
+    /// config; the way hints are a pure probe accelerator (they never
+    /// change hit/miss outcomes or victim choice) and are not captured.
     pub fn save_state(&self, w: &mut svmsyn_snap::SnapWriter) {
         use svmsyn_snap::Snap;
         self.tags.save(w);
@@ -325,6 +337,154 @@ mod tests {
         assert!(c.drain_dirty().is_empty(), "drain clears dirty bits");
         // Lines stay resident (clean) after draining.
         assert_eq!(c.access(PhysAddr(0), false), CacheOutcome::Hit);
+    }
+
+    /// A plain scan-only LRU cache: each set is a list of resident lines
+    /// with their last-use time, searched front to back. It shares no code
+    /// with `L1Cache` (no flattened arrays, no way positions, no hints).
+    struct RefLru {
+        line_bytes: u64,
+        ways: usize,
+        sets: Vec<Vec<RefLine>>,
+        clock: u64,
+        hits: u64,
+        misses: u64,
+        writebacks: u64,
+    }
+
+    struct RefLine {
+        line: u64,
+        last_use: u64,
+        dirty: bool,
+    }
+
+    impl RefLru {
+        fn new(cfg: CacheConfig) -> Self {
+            let sets = (cfg.size_bytes / cfg.line_bytes) as usize / cfg.ways;
+            RefLru {
+                line_bytes: cfg.line_bytes,
+                ways: cfg.ways,
+                sets: (0..sets).map(|_| Vec::new()).collect(),
+                clock: 0,
+                hits: 0,
+                misses: 0,
+                writebacks: 0,
+            }
+        }
+
+        fn access(&mut self, pa: PhysAddr, write: bool) -> CacheOutcome {
+            self.clock += 1;
+            let line = pa.0 / self.line_bytes;
+            let nsets = self.sets.len() as u64;
+            let set = &mut self.sets[(line % nsets) as usize];
+            for l in set.iter_mut() {
+                if l.line == line {
+                    l.last_use = self.clock;
+                    l.dirty |= write;
+                    self.hits += 1;
+                    return CacheOutcome::Hit;
+                }
+            }
+            self.misses += 1;
+            let mut writeback = None;
+            if set.len() == self.ways {
+                let lru = (0..set.len())
+                    .min_by_key(|&i| set[i].last_use)
+                    .expect("a full set is non-empty");
+                let victim = set.remove(lru);
+                if victim.dirty {
+                    self.writebacks += 1;
+                    writeback = Some(PhysAddr(victim.line * self.line_bytes));
+                }
+            }
+            set.push(RefLine {
+                line,
+                last_use: self.clock,
+                dirty: write,
+            });
+            CacheOutcome::Miss { writeback }
+        }
+    }
+
+    /// A seeded access stream: four sequential streams, reuse inside a
+    /// working set of twice the capacity, and scattered far addresses, so
+    /// hits, clean and dirty evictions all occur.
+    fn next_access(
+        rng: &mut svmsyn_sim::Xoshiro256ss,
+        cfg: CacheConfig,
+        streams: &mut [u64; 4],
+    ) -> (PhysAddr, bool) {
+        let write = rng.chance(0.3);
+        let addr = match rng.range(10) {
+            0..=4 => {
+                let s = &mut streams[rng.range(4) as usize];
+                *s += 4 * (1 + rng.range(4));
+                *s
+            }
+            5..=7 => rng.range(2 * cfg.size_bytes),
+            _ => rng.range(64 << 20),
+        };
+        (PhysAddr(addr), write)
+    }
+
+    fn assert_counters_match(c: &L1Cache, r: &RefLru, ctx: &str) {
+        let s = c.stats();
+        assert_eq!(s.get("hits"), Some(r.hits as f64), "{ctx}: hits");
+        assert_eq!(s.get("misses"), Some(r.misses as f64), "{ctx}: misses");
+        assert_eq!(
+            s.get("writebacks"),
+            Some(r.writebacks as f64),
+            "{ctx}: writebacks"
+        );
+    }
+
+    #[test]
+    fn matches_a_scan_only_lru_reference_model() {
+        let geometries = [
+            // The MEMIF burst cache: 64 lines of 64 B, fully associative.
+            CacheConfig {
+                size_bytes: 64 * 64,
+                line_bytes: 64,
+                ways: 64,
+            },
+            // The CPU L1: 32 KiB, 4-way.
+            CacheConfig::default(),
+        ];
+        const ACCESSES: usize = 20_000;
+        for cfg in geometries {
+            for seed in 1..=4u64 {
+                let mut rng = svmsyn_sim::Xoshiro256ss::new(seed);
+                let mut streams = [0, 1 << 20, 2 << 20, 3 << 20];
+                let mut cache = L1Cache::new(cfg);
+                let mut restored: Option<L1Cache> = None;
+                let mut model = RefLru::new(cfg);
+                for i in 0..ACCESSES {
+                    if i == ACCESSES / 2 {
+                        // Round trip through a snapshot mid-stream; both
+                        // the original and the restored copy run on.
+                        let mut w = svmsyn_snap::SnapWriter::new();
+                        cache.save_state(&mut w);
+                        let bytes = w.into_bytes();
+                        let mut r = svmsyn_snap::SnapReader::new(&bytes);
+                        restored = Some(L1Cache::restore_state(cfg, &mut r).unwrap());
+                    }
+                    let (pa, write) = next_access(&mut rng, cfg, &mut streams);
+                    let ctx = format!("ways {} seed {seed} access {i} at {pa:?}", cfg.ways);
+                    let want = model.access(pa, write);
+                    assert_eq!(cache.access(pa, write), want, "{ctx}");
+                    if let Some(c) = restored.as_mut() {
+                        assert_eq!(c.access(pa, write), want, "{ctx} (restored)");
+                    }
+                }
+                let ctx = format!("ways {} seed {seed}", cfg.ways);
+                assert!(
+                    model.hits > 0 && model.writebacks > 0,
+                    "{ctx}: stream too tame"
+                );
+                assert_counters_match(&cache, &model, &ctx);
+                assert_counters_match(&restored.unwrap(), &model, &format!("{ctx} (restored)"));
+            }
+        }
     }
 
     #[test]

@@ -585,6 +585,10 @@ impl SplitFabric {
 
     /// Removes and returns every registered waiter of `master` whose
     /// transaction has completed by `now`, in registration order.
+    ///
+    /// Callers that only need the waiters gone, not the list, use
+    /// [`retire_woken`](Self::retire_woken): it removes the same waiters
+    /// without allocating.
     pub fn drain_woken(&mut self, master: MasterId, now: Cycle) -> Vec<(TxnId, Cycle)> {
         let m = self.master_state(master);
         let mut woken = Vec::new();
@@ -597,6 +601,19 @@ impl SplitFabric {
             }
         });
         woken
+    }
+
+    /// Removes every registered waiter of `master` whose transaction has
+    /// completed by `now`: the removal [`drain_woken`](Self::drain_woken)
+    /// makes, without building its list. The list is rewritten only when a
+    /// waiter is due, so the common call, on every MEMIF and CPU access,
+    /// is a read-only scan of a few entries.
+    #[inline]
+    pub fn retire_woken(&mut self, master: MasterId, now: Cycle) {
+        let m = self.master_state(master);
+        if m.waiters.iter().any(|&(_, done)| done <= now) {
+            m.waiters.retain(|&(_, done)| done > now);
+        }
     }
 
     /// Total cycles the data-carrying channel spent busy (the unified bus in

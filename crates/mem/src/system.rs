@@ -177,9 +177,18 @@ impl MemorySystem {
     }
 
     /// Removes and returns `master`'s waiters whose transactions completed
-    /// by `now`.
+    /// by `now`. [`retire_woken`](Self::retire_woken) removes the same
+    /// waiters without building the list.
     pub fn drain_woken(&mut self, master: MasterId, now: Cycle) -> Vec<(TxnId, Cycle)> {
         self.fabric.drain_woken(master, now)
+    }
+
+    /// Removes `master`'s waiters whose transactions completed by `now`,
+    /// without allocating: the per-access retire of the MEMIF and the CPU
+    /// model.
+    #[inline]
+    pub fn retire_woken(&mut self, master: MasterId, now: Cycle) {
+        self.fabric.retire_woken(master, now);
     }
 
     /// Issues a read transaction *and* moves the bytes into `buf`
@@ -326,8 +335,10 @@ impl MemorySystem {
     /// chain: the returned completion is the exact cycle at which
     /// [`drain_woken`](Self::drain_woken) will surface the wake. Masters
     /// whose consumers may park on the transfer (the non-blocking MEMIF's
-    /// line fills) issue through this so the wakeup can never be lost to
-    /// the bounded completion FIFO.
+    /// line fills, the CPU model's store-miss fills) issue through this so
+    /// the wakeup can never be lost to the bounded completion FIFO; they
+    /// retire landed waiters with [`retire_woken`](Self::retire_woken) at
+    /// each later access.
     pub fn transfer_waited(
         &mut self,
         master: MasterId,

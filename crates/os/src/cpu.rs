@@ -11,8 +11,8 @@
 use std::sync::Arc;
 
 use svmsyn_hls::decode::DecodedKernel;
-use svmsyn_hls::interp::{Interp, InterpEvent};
-use svmsyn_hls::ir::Width;
+use svmsyn_hls::interp::{Flow, Interp, InterpEvent, InterpHooks};
+use svmsyn_hls::ir::{BlockId, Width};
 use svmsyn_mem::{FabricPort, MasterId, MemorySystem, PhysAddr, TxnKind, VirtAddr};
 
 pub use svmsyn_mem::cache::{CacheConfig, CacheOutcome, L1Cache};
@@ -132,9 +132,17 @@ pub enum SliceEnd {
 /// ```
 #[derive(Debug, Clone)]
 pub struct SwExec {
+    interp: Interp,
+    core: CpuCore,
+}
+
+/// Everything of a software thread but its interpreter, so that the
+/// interpreter's hooks (see [`Slice`]) can borrow it while the interpreter
+/// runs.
+#[derive(Debug, Clone)]
+struct CpuCore {
     tid: ThreadId,
     asid: Asid,
-    interp: Interp,
     cfg: SwExecConfig,
     port: FabricPort,
     tlb: Tlb,
@@ -160,6 +168,23 @@ pub struct SwExec {
     faults: u64,
 }
 
+/// Per-block compute CPI (CPU cycles) and op counts of `kernel` under
+/// `costs`: blocks are straight-line, so their compute cost per entry is a
+/// decode-time constant.
+fn block_costs(kernel: &DecodedKernel, costs: &CpuCosts) -> (Vec<u64>, Vec<u64>) {
+    let nblocks = kernel.num_blocks();
+    let mut block_cpi = Vec::with_capacity(nblocks);
+    let mut block_ops = Vec::with_capacity(nblocks);
+    for b in 0..nblocks {
+        let mix = kernel.block_mix(BlockId(b as u32));
+        block_cpi.push(
+            mix.alu as u64 * costs.alu + mix.mul as u64 * costs.mul + mix.div as u64 * costs.div,
+        );
+        block_ops.push(mix.ops());
+    }
+    (block_cpi, block_ops)
+}
+
 impl SwExec {
     /// Creates a software thread over the pre-decoded `kernel` with launch
     /// `args`. Callers decode once per kernel ([`DecodedKernel::decode`])
@@ -171,53 +196,42 @@ impl SwExec {
         args: &[i64],
         cfg: SwExecConfig,
     ) -> Self {
-        // Per-block CPI sums: blocks are straight-line, so their compute
-        // cost per entry is a decode-time constant.
-        let nblocks = kernel.num_blocks();
-        let mut block_cpi = Vec::with_capacity(nblocks);
-        let mut block_ops = Vec::with_capacity(nblocks);
-        for b in 0..nblocks {
-            let mix = kernel.block_mix(svmsyn_hls::ir::BlockId(b as u32));
-            block_cpi.push(
-                mix.alu as u64 * cfg.costs.alu
-                    + mix.mul as u64 * cfg.costs.mul
-                    + mix.div as u64 * cfg.costs.div,
-            );
-            block_ops.push(mix.ops());
-        }
+        let (block_cpi, block_ops) = block_costs(&kernel, &cfg.costs);
         SwExec {
-            tid,
-            asid,
             interp: Interp::from_decoded(kernel, args),
-            cfg,
-            port: FabricPort::new(cfg.master),
-            tlb: Tlb::new(cfg.tlb),
-            cache: L1Cache::new(cfg.cache),
-            cpu_half_cycles: 0,
-            store_fills: Vec::new(),
-            store_fill_latency: 0,
-            store_fill_stall: 0,
-            block_cpi,
-            block_ops,
-            entry_charged: false,
-            instrs: 0,
-            faults: 0,
+            core: CpuCore {
+                tid,
+                asid,
+                cfg,
+                port: FabricPort::new(cfg.master),
+                tlb: Tlb::new(cfg.tlb),
+                cache: L1Cache::new(cfg.cache),
+                cpu_half_cycles: 0,
+                store_fills: Vec::new(),
+                store_fill_latency: 0,
+                store_fill_stall: 0,
+                block_cpi,
+                block_ops,
+                entry_charged: false,
+                instrs: 0,
+                faults: 0,
+            },
         }
     }
 
     /// This thread's id.
     pub fn tid(&self) -> ThreadId {
-        self.tid
+        self.core.tid
     }
 
     /// The address space the thread runs in.
     pub fn asid(&self) -> Asid {
-        self.asid
+        self.core.asid
     }
 
     /// Instructions retired so far.
     pub fn instrs(&self) -> u64 {
-        self.instrs
+        self.core.instrs
     }
 
     /// Turns on the interpreter's per-block entry counting (BBV phase
@@ -231,6 +245,103 @@ impl SwExec {
         self.interp.block_visits()
     }
 
+    /// Applies a TLB shootdown for one page (the broadcast half of frame
+    /// reclaim; idempotent with the mid-slice drop in fault service).
+    pub fn shootdown(&mut self, asid: Asid, va: VirtAddr) {
+        self.core.tlb.invalidate_page(asid, va.vpn());
+    }
+
+    /// Runs until the kernel finishes or `budget` fabric cycles elapse.
+    /// Returns the end time and how the slice ended.
+    ///
+    /// The interpreter runs with this slice's hooks: loads, stores and
+    /// block changes are costed inside its dispatch loop, which returns
+    /// here only when the budget is spent, an access segfaults, or the
+    /// kernel is done.
+    ///
+    /// CPI batching: compute ops execute silently; each block's compute
+    /// CPI is the decode-time sum charged once when the block is entered
+    /// (entry block at launch, every other block at its block change). For
+    /// any run that completes its blocks, totals are identical to per-op
+    /// charging — blocks are straight-line — but the slice budget is now
+    /// checked at event granularity only, so a slice may overrun `budget`
+    /// by up to one block's compute time; loads within a block issue after
+    /// the block's compute cost instead of interleaved with it; and a
+    /// thread killed by `Sigsegv` mid-block has already been charged (and
+    /// retired) the ops after the faulting access — acceptable, since a
+    /// segfault aborts the whole simulation.
+    /// `batched_cpi_shifts_slice_boundaries_only` locks the boundary shift
+    /// down.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Sigsegv`] if the thread performs an unservicable access.
+    pub fn run_slice(
+        &mut self,
+        os: &mut Os,
+        mem: &mut MemorySystem,
+        start: Cycle,
+        budget: u64,
+    ) -> Result<(Cycle, SliceEnd), Sigsegv> {
+        let entry = self.interp.decoded().entry_block();
+        let mut cx = Slice {
+            core: &mut self.core,
+            os,
+            mem,
+            start,
+            budget,
+            t: start,
+            segv: None,
+        };
+        if !cx.core.entry_charged {
+            cx.core.entry_charged = true;
+            cx.core.charge_block(&mut cx.t, entry);
+        }
+        if cx.spent() {
+            return Ok((cx.t, SliceEnd::BudgetExhausted));
+        }
+        match self.interp.run_hooked(&mut cx) {
+            None => Ok((cx.t, SliceEnd::BudgetExhausted)),
+            Some((InterpEvent::Done { ret }, _)) => {
+                // Outstanding fire-and-forget fills drain before the
+                // thread counts as finished — their registered fabric
+                // waiters with them (no phantom wakeups survive).
+                let core = &mut *cx.core;
+                let end = core
+                    .store_fills
+                    .iter()
+                    .map(|&(_, d)| d)
+                    .max()
+                    .map_or(cx.t, |d| d.max(cx.t));
+                core.store_fill_stall += (end - cx.t).0;
+                core.store_fills.clear();
+                cx.mem.retire_woken(core.port.master(), end);
+                Ok((end, SliceEnd::Finished { ret }))
+            }
+            // The hooks decline an event only when its access segfaults.
+            Some(_) => Err(cx.segv.take().expect("a declined access segfaulted")),
+        }
+    }
+
+    /// Counter snapshot (TLB and cache absorbed).
+    pub fn stats(&self) -> StatSet {
+        let c = &self.core;
+        let mut s = StatSet::new();
+        s.put("instrs", c.instrs as f64);
+        s.put("faults", c.faults as f64);
+        // Store-miss fill latency hidden behind the store buffer (fire-and-
+        // forget fills minus the cycles later accesses waited for them).
+        s.put(
+            "store_miss_overlap_cycles",
+            c.store_fill_latency.saturating_sub(c.store_fill_stall) as f64,
+        );
+        s.absorb("tlb", c.tlb.stats());
+        s.absorb("cache", c.cache.stats());
+        s
+    }
+}
+
+impl CpuCore {
     fn charge_cpu(&mut self, t: &mut Cycle, cpu_cycles: u64) {
         self.cpu_half_cycles += cpu_cycles;
         let fabric = self.cpu_half_cycles / 2;
@@ -280,12 +391,6 @@ impl SwExec {
         }
     }
 
-    /// Applies a TLB shootdown for one page (the broadcast half of frame
-    /// reclaim; idempotent with the mid-slice drop above).
-    pub fn shootdown(&mut self, asid: Asid, va: VirtAddr) {
-        self.tlb.invalidate_page(asid, va.vpn());
-    }
-
     /// Performs a timed, cached data access; returns the physical address.
     fn data_access(
         &mut self,
@@ -299,9 +404,9 @@ impl SwExec {
         self.charge_cpu(t, self.cfg.costs.mem_issue);
         let line = self.cache.line_bytes();
         let base = pa.0 & !(line - 1);
-        // Retire landed store fills, draining their registered fabric
-        // waiters with them so the waiter list stays bounded.
-        mem.drain_woken(self.port.master(), *t);
+        // Retire landed store fills, and their registered fabric waiters
+        // with them so the waiter list stays bounded.
+        mem.retire_woken(self.port.master(), *t);
         self.store_fills.retain(|&(_, done)| done > *t);
         match self.cache.access(pa, write) {
             CacheOutcome::Hit => {
@@ -360,102 +465,92 @@ impl SwExec {
     }
 
     /// Charges a whole block's precomputed compute CPI at block entry.
-    fn charge_block(&mut self, t: &mut Cycle, block: svmsyn_hls::ir::BlockId) {
+    fn charge_block(&mut self, t: &mut Cycle, block: BlockId) {
         let b = block.0 as usize;
         self.instrs += self.block_ops[b];
         let cpi = self.block_cpi[b];
         self.charge_cpu(t, cpi);
     }
+}
 
-    /// Runs until the kernel finishes or `budget` fabric cycles elapse.
-    /// Returns the end time and how the slice ended.
-    ///
-    /// CPI batching: the interpreter is driven through `next_mem()`, which
-    /// executes compute ops silently; each block's compute CPI is the
-    /// decode-time sum charged once when the block is entered (entry block
-    /// at launch, every other block at its `BlockChange`). For any run
-    /// that completes its blocks, totals are identical to per-op charging —
-    /// blocks are straight-line — but the slice budget is now checked at
-    /// event granularity only, so a slice may overrun `budget` by up to one
-    /// block's compute time; loads within a block issue after the block's
-    /// compute cost instead of interleaved with it; and a thread killed by
-    /// `Sigsegv` mid-block has already been charged (and retired) the ops
-    /// after the faulting access — acceptable, since a segfault aborts the
-    /// whole simulation. `batched_cpi_shifts_slice_boundaries_only` locks
-    /// the boundary shift down.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Sigsegv`] if the thread performs an unservicable access.
-    pub fn run_slice(
-        &mut self,
-        os: &mut Os,
-        mem: &mut MemorySystem,
-        start: Cycle,
-        budget: u64,
-    ) -> Result<(Cycle, SliceEnd), Sigsegv> {
-        let mut t = start;
-        if !self.entry_charged {
-            self.entry_charged = true;
-            let entry = self.interp.decoded().entry_block();
-            self.charge_block(&mut t, entry);
-        }
-        loop {
-            if (t - start).0 >= budget {
-                return Ok((t, SliceEnd::BudgetExhausted));
-            }
-            match self.interp.next_mem() {
-                InterpEvent::Op(_) => unreachable!("next_mem never yields Op"),
-                InterpEvent::Load { addr, width } => {
-                    self.instrs += 1;
-                    let pa = self.data_access(os, mem, VirtAddr(addr), false, &mut t)?;
-                    let raw = read_raw(mem, pa, width);
-                    self.interp.provide_load(raw);
-                }
-                InterpEvent::Store { addr, width, value } => {
-                    self.instrs += 1;
-                    let pa = self.data_access(os, mem, VirtAddr(addr), true, &mut t)?;
-                    write_raw(mem, pa, width, value);
-                }
-                InterpEvent::BlockChange { to, .. } => {
-                    self.instrs += 1;
-                    self.charge_cpu(&mut t, self.cfg.costs.branch);
-                    self.charge_block(&mut t, to);
-                }
-                InterpEvent::Done { ret } => {
-                    // Outstanding fire-and-forget fills drain before the
-                    // thread counts as finished — their registered fabric
-                    // waiters with them (no phantom wakeups survive).
-                    let end = self
-                        .store_fills
-                        .iter()
-                        .map(|&(_, d)| d)
-                        .max()
-                        .map_or(t, |d| d.max(t));
-                    self.store_fill_stall += (end - t).0;
-                    self.store_fills.clear();
-                    mem.drain_woken(self.port.master(), end);
-                    return Ok((end, SliceEnd::Finished { ret }));
-                }
-            }
+/// One [`SwExec::run_slice`] call: the interpreter hooks that cost every
+/// block change, load and store, and the state they share.
+struct Slice<'a> {
+    core: &'a mut CpuCore,
+    os: &'a mut Os,
+    mem: &'a mut MemorySystem,
+    /// Slice start time.
+    start: Cycle,
+    budget: u64,
+    /// Thread time now.
+    t: Cycle,
+    /// The segfault that made a hook decline its access.
+    segv: Option<Sigsegv>,
+}
+
+impl Slice<'_> {
+    /// Whether the slice's cycle budget is spent. This per-event check is
+    /// where a bound tighter than `budget` would plug in.
+    #[inline]
+    fn spent(&self) -> bool {
+        (self.t - self.start).0 >= self.budget
+    }
+
+    /// A handled event's [`Flow`]: stop once the budget is spent.
+    #[inline]
+    fn flow<T>(&self, v: T) -> Flow<T> {
+        if self.spent() {
+            Flow::Stop(v)
+        } else {
+            Flow::Continue(v)
         }
     }
 
-    /// Counter snapshot (TLB and cache absorbed).
-    pub fn stats(&self) -> StatSet {
-        let mut s = StatSet::new();
-        s.put("instrs", self.instrs as f64);
-        s.put("faults", self.faults as f64);
-        // Store-miss fill latency hidden behind the store buffer (fire-and-
-        // forget fills minus the cycles later accesses waited for them).
-        s.put(
-            "store_miss_overlap_cycles",
-            self.store_fill_latency
-                .saturating_sub(self.store_fill_stall) as f64,
-        );
-        s.absorb("tlb", self.tlb.stats());
-        s.absorb("cache", self.cache.stats());
-        s
+    /// A cached data access for the hooks; a segfault is kept for
+    /// `run_slice` to return.
+    #[inline]
+    fn access(&mut self, addr: u64, write: bool) -> Option<PhysAddr> {
+        self.core.instrs += 1;
+        match self
+            .core
+            .data_access(self.os, self.mem, VirtAddr(addr), write, &mut self.t)
+        {
+            Ok(pa) => Some(pa),
+            Err(e) => {
+                self.segv = Some(e);
+                None
+            }
+        }
+    }
+}
+
+impl InterpHooks for Slice<'_> {
+    #[inline]
+    fn block_change(&mut self, _from: BlockId, to: BlockId, _dep: u32) -> Flow {
+        self.core.instrs += 1;
+        let branch = self.core.cfg.costs.branch;
+        self.core.charge_cpu(&mut self.t, branch);
+        self.core.charge_block(&mut self.t, to);
+        self.flow(())
+    }
+
+    #[inline]
+    fn load(&mut self, addr: u64, width: Width, _dep: u32) -> Flow<(u64, u32)> {
+        match self.access(addr, false) {
+            Some(pa) => self.flow((read_raw(self.mem, pa, width), 0)),
+            None => Flow::Decline,
+        }
+    }
+
+    #[inline]
+    fn store(&mut self, addr: u64, width: Width, value: u64, _dep: u32) -> Flow {
+        match self.access(addr, true) {
+            Some(pa) => {
+                write_raw(self.mem, pa, width, value);
+                self.flow(())
+            }
+            None => Flow::Decline,
+        }
     }
 }
 
@@ -471,18 +566,19 @@ impl SwExec {
     /// decode-time constants of kernel × costs and are recomputed.
     pub fn save_state(&self, w: &mut svmsyn_snap::SnapWriter) {
         use svmsyn_snap::Snap;
-        self.tid.save(w);
-        self.asid.save(w);
+        let c = &self.core;
+        c.tid.save(w);
+        c.asid.save(w);
         self.interp.save_state(w);
-        self.tlb.save_state(w);
-        self.cache.save_state(w);
-        w.put_u64(self.cpu_half_cycles);
-        self.store_fills.save(w);
-        w.put_u64(self.store_fill_latency);
-        w.put_u64(self.store_fill_stall);
-        w.put_bool(self.entry_charged);
-        w.put_u64(self.instrs);
-        w.put_u64(self.faults);
+        c.tlb.save_state(w);
+        c.cache.save_state(w);
+        w.put_u64(c.cpu_half_cycles);
+        c.store_fills.save(w);
+        w.put_u64(c.store_fill_latency);
+        w.put_u64(c.store_fill_stall);
+        w.put_bool(c.entry_charged);
+        w.put_u64(c.instrs);
+        w.put_u64(c.faults);
     }
 
     /// Rebuilds a software thread captured by
@@ -513,35 +609,26 @@ impl SwExec {
         let instrs = r.take_u64()?;
         let faults = r.take_u64()?;
         // Recompute the per-block cost tables exactly as `new` does.
-        let nblocks = kernel.num_blocks();
-        let mut block_cpi = Vec::with_capacity(nblocks);
-        let mut block_ops = Vec::with_capacity(nblocks);
-        for b in 0..nblocks {
-            let mix = kernel.block_mix(svmsyn_hls::ir::BlockId(b as u32));
-            block_cpi.push(
-                mix.alu as u64 * cfg.costs.alu
-                    + mix.mul as u64 * cfg.costs.mul
-                    + mix.div as u64 * cfg.costs.div,
-            );
-            block_ops.push(mix.ops());
-        }
+        let (block_cpi, block_ops) = block_costs(&kernel, &cfg.costs);
         Ok(SwExec {
-            tid,
-            asid,
             interp,
-            cfg,
-            port: FabricPort::new(cfg.master),
-            tlb,
-            cache,
-            cpu_half_cycles,
-            store_fills,
-            store_fill_latency,
-            store_fill_stall,
-            block_cpi,
-            block_ops,
-            entry_charged,
-            instrs,
-            faults,
+            core: CpuCore {
+                tid,
+                asid,
+                cfg,
+                port: FabricPort::new(cfg.master),
+                tlb,
+                cache,
+                cpu_half_cycles,
+                store_fills,
+                store_fill_latency,
+                store_fill_stall,
+                block_cpi,
+                block_ops,
+                entry_charged,
+                instrs,
+                faults,
+            },
         })
     }
 }
@@ -662,6 +749,144 @@ mod tests {
             }
         }
         assert!(slices > 1, "must have yielded at least once");
+    }
+
+    /// `dst[i] = src[i] + 1` for `i in 0..n`; returns `Σ src[i]`.
+    fn copy_sum_kernel() -> Arc<DecodedKernel> {
+        let mut b = KernelBuilder::new("copy_sum", 3);
+        let entry = b.current_block();
+        let header = b.new_block();
+        let body = b.new_block();
+        let exit = b.new_block();
+        let src = b.arg(0);
+        let dst = b.arg(1);
+        let n = b.arg(2);
+        let zero = b.constant(0);
+        b.jump(header);
+        b.switch_to(header);
+        let i = b.phi();
+        let acc = b.phi();
+        let c = b.cmp(CmpOp::Lt, i, n);
+        b.branch(c, body, exit);
+        b.switch_to(body);
+        let four = b.constant(4);
+        let off = b.bin(BinOp::Mul, i, four);
+        let sa = b.bin(BinOp::Add, src, off);
+        let da = b.bin(BinOp::Add, dst, off);
+        let v = b.load(sa, Width::W32);
+        let one = b.constant(1);
+        let v2 = b.bin(BinOp::Add, v, one);
+        b.store(da, v2, Width::W32);
+        let acc2 = b.bin(BinOp::Add, acc, v);
+        let i2 = b.bin(BinOp::Add, i, one);
+        b.jump(header);
+        b.switch_to(exit);
+        b.ret(Some(acc));
+        b.set_phi_incoming(i, &[(entry, zero), (body, i2)]);
+        b.set_phi_incoming(acc, &[(entry, zero), (body, acc2)]);
+        Arc::new(DecodedKernel::decode(&b.finish().unwrap()))
+    }
+
+    /// How a thread run in fixed-budget slices ended.
+    struct Sliced {
+        end: Cycle,
+        ret: Option<i64>,
+        stats: StatSet,
+        dst: Vec<u8>,
+        /// Slices that ended on the budget.
+        slices: u64,
+        /// Whether some slice ended right after a load, a store, and a
+        /// block change, in that order.
+        stopped_after: [bool; 3],
+    }
+
+    /// Runs `copy_sum_kernel` over `n` elements (two pages each way, so
+    /// the run takes minor faults) in `budget`-cycle slices, each resumed
+    /// where the previous one ended.
+    fn run_sliced(n: u64, budget: u64) -> Sliced {
+        let (mut mem, mut os) = boot();
+        let asid = os.create_space(&mut mem).unwrap();
+        let src = os.mmap(asid, n * 4, true, false, &mut mem).unwrap();
+        let dst = os.mmap(asid, n * 4, true, false, &mut mem).unwrap();
+        let data: Vec<u8> = (0..n as u32).flat_map(|i| (3 * i).to_le_bytes()).collect();
+        os.copy_in(asid, src, &data, &mut mem).unwrap();
+        let mut t = SwExec::new(
+            ThreadId(1),
+            asid,
+            copy_sum_kernel(),
+            &[src.0 as i64, dst.0 as i64, n as i64],
+            SwExecConfig::with_master(MasterId(0)),
+        );
+        let read_dst = |os: &Os, mem: &MemorySystem| {
+            let mut buf = vec![0u8; (n * 4) as usize];
+            os.copy_out(asid, dst, &mut buf, mem);
+            buf
+        };
+        let accesses = |t: &SwExec| {
+            let s = t.stats();
+            s.get("cache.hits").unwrap() + s.get("cache.misses").unwrap()
+        };
+        let mut now = Cycle(0);
+        let mut slices = 0;
+        let mut stopped_after = [false; 3];
+        loop {
+            let (before, dst_before) = (accesses(&t), read_dst(&os, &mem));
+            let (end, kind) = t.run_slice(&mut os, &mut mem, now, budget).unwrap();
+            now = end;
+            match kind {
+                SliceEnd::BudgetExhausted => {
+                    // Every event costs at least one fabric cycle, so at
+                    // budget 1 each slice ends after exactly one event.
+                    let wrote = read_dst(&os, &mem) != dst_before;
+                    match (accesses(&t) - before, wrote) {
+                        (1.0, false) => stopped_after[0] = true,
+                        (1.0, true) => stopped_after[1] = true,
+                        (0.0, false) => stopped_after[2] = true,
+                        _ => {}
+                    }
+                    slices += 1;
+                }
+                SliceEnd::Finished { ret } => {
+                    return Sliced {
+                        end,
+                        ret,
+                        stats: t.stats(),
+                        dst: read_dst(&os, &mem),
+                        slices,
+                        stopped_after,
+                    };
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn slice_budget_does_not_change_the_run() {
+        // Budget 1 ends a slice after every event, so every hook's stop-
+        // and-resume path runs; 17 ends slices mid-block; u64::MAX never.
+        let n = 2048u64;
+        let whole = run_sliced(n, u64::MAX);
+        assert_eq!(whole.ret, Some((0..n as i64).map(|i| 3 * i).sum()));
+        let want: Vec<u8> = (0..n as u32)
+            .flat_map(|i| (3 * i + 1).to_le_bytes())
+            .collect();
+        assert_eq!(whole.dst, want);
+        assert_eq!(whole.slices, 0);
+        for budget in [1, 17] {
+            let sliced = run_sliced(n, budget);
+            assert_eq!(sliced.end, whole.end, "budget {budget}: finish cycle");
+            assert_eq!(sliced.ret, whole.ret, "budget {budget}: return value");
+            assert_eq!(sliced.stats, whole.stats, "budget {budget}: stats");
+            assert_eq!(sliced.dst, whole.dst, "budget {budget}: output");
+            assert!(sliced.slices > 1, "budget {budget}: never ended a slice");
+            if budget == 1 {
+                assert!(sliced.slices > 4 * n, "only {} slices", sliced.slices);
+                assert_eq!(
+                    sliced.stopped_after, [true; 3],
+                    "stops after [load, store, block change]"
+                );
+            }
+        }
     }
 
     #[test]
