@@ -235,11 +235,10 @@ struct Shard {
 /// own threads immediately (matching the serial engine's every-event
 /// drain) and queues them for the other shards at the barrier.
 fn drain_local_shootdowns(st: &mut ShardState) {
-    let pending = match st.os.as_mut() {
-        Some(os) => os.take_shootdowns(),
-        None => return,
+    let Some(os) = st.os.as_mut() else {
+        return;
     };
-    for (asid, va) in pending {
+    for (asid, va) in os.drain_shootdowns() {
         for t in st.threads.iter_mut().flatten() {
             t.body.shootdown(asid, va);
             st.local_shootdowns += 1;
@@ -487,8 +486,8 @@ impl<'d> ShardedSim<'d> {
     /// every thread on every shard (the serial engine's per-event drain,
     /// at barrier granularity).
     fn drain_coordinator_shootdowns(&mut self) {
-        let pending = self.os.as_mut().expect("os home").take_shootdowns();
-        for (asid, va) in pending {
+        let os = self.os.as_mut().expect("os home");
+        for (asid, va) in os.drain_shootdowns() {
             for sh in &mut self.shards {
                 for t in sh.state.threads.iter_mut().flatten() {
                     t.body.shootdown(asid, va);

@@ -529,7 +529,7 @@ pub(crate) struct SystemState {
 /// invalidation storms. Returns the per-target shootdowns applied.
 fn drain_shootdowns(os: &mut Os, threads: &mut [ThreadRt]) -> u64 {
     let mut applied = 0;
-    for (asid, va) in os.take_shootdowns() {
+    for (asid, va) in os.drain_shootdowns() {
         for t in threads.iter_mut() {
             t.body.shootdown(asid, va);
             applied += 1;

@@ -129,8 +129,17 @@ impl FabricConfig {
     }
 
     /// Data beats a transfer of `len` bytes occupies the data channel for.
+    /// A power-of-two width (every shipped platform) takes a shift instead
+    /// of a division.
+    #[inline]
     pub fn beats(&self, len: u64) -> u64 {
-        len.div_ceil(self.width_bytes).max(1)
+        let w = self.width_bytes;
+        let beats = if w.is_power_of_two() {
+            (len >> w.trailing_zeros()) + u64::from(len & (w - 1) != 0)
+        } else {
+            len.div_ceil(w)
+        };
+        beats.max(1)
     }
 }
 
@@ -178,6 +187,9 @@ pub(crate) struct MasterState {
     /// issue count: transaction `n` may not issue before transaction
     /// `n − window` completed.
     window_ring: Vec<Cycle>,
+    /// The ring slot of the next issue, `issued % window`, advanced by one
+    /// per issue. Derived from `issued` at restore, so not serialized.
+    cursor: usize,
     issued: u64,
     /// Undrained completions, oldest first, capped at
     /// `window + COMPLETION_SLACK`.
@@ -197,6 +209,7 @@ impl MasterState {
     fn new(window: u32) -> Self {
         MasterState {
             window_ring: vec![Cycle::ZERO; window.max(1) as usize],
+            cursor: 0,
             issued: 0,
             completions: VecDeque::new(),
             fifo_consumer: false,
@@ -336,14 +349,12 @@ impl SplitFabric {
     /// queue.
     pub fn issue(&mut self, dram: &mut Dram, desc: TxnDesc, now: Cycle) -> TxnId {
         let split = self.cfg.split();
-        let window = self.cfg.window as u64;
 
         // Window throttle: transaction n waits for transaction n − window.
         let (ready, stall) = {
             let m = self.master_state(desc.master);
-            let slot = (m.issued % window) as usize;
             let ready = if split {
-                now.max(m.window_ring[slot])
+                now.max(m.window_ring[m.cursor])
             } else {
                 // Blocking configuration: the master's own call-return
                 // discipline enforces depth 1, exactly as the FCFS oracle.
@@ -455,12 +466,15 @@ impl SplitFabric {
             next_issue,
         });
 
+        let cap = self.cfg.window as usize + COMPLETION_SLACK;
         let m = self.master_state(desc.master);
-        let slot = (m.issued % window) as usize;
-        m.window_ring[slot] = completion;
+        m.window_ring[m.cursor] = completion;
+        m.cursor += 1;
+        if m.cursor == m.window_ring.len() {
+            m.cursor = 0;
+        }
         m.issued += 1;
         m.completions.push_back((id, completion));
-        let cap = window as usize + COMPLETION_SLACK;
         while m.completions.len() > cap {
             // Every eviction is counted; `stats()` reports the count only
             // for FIFO-consuming masters (so a master that starts draining
@@ -811,9 +825,14 @@ impl Snap for MasterState {
         self.stats.save(w);
     }
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let window_ring = Vec::<Cycle>::load(r)?;
+        let issued = r.take_u64()?;
+        // An empty ring is rejected by `SplitFabric::restore_state`.
+        let cursor = issued.checked_rem(window_ring.len() as u64).unwrap_or(0) as usize;
         Ok(MasterState {
-            window_ring: Vec::<Cycle>::load(r)?,
-            issued: r.take_u64()?,
+            window_ring,
+            cursor,
+            issued,
             completions: std::collections::VecDeque::load(r)?,
             fifo_consumer: r.take_bool()?,
             waiters: Vec::load(r)?,

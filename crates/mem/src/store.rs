@@ -140,29 +140,55 @@ impl SparseMemory {
         Some(&self.pages[idx as usize])
     }
 
-    pub(crate) fn frame_mut(&mut self, frame: u64) -> &mut [u8] {
+    /// Arena index of `frame` for a write: materializes an untouched frame
+    /// (zeroed) and records the frame in the dirty journal.
+    fn page_index_mut(&mut self, frame: u64) -> usize {
         if let Some(j) = &mut self.journal {
             j.insert(frame);
         }
         let slot = (frame as usize) & (MEMO_SLOTS - 1);
         let (k, idx) = self.memo[slot].get();
-        let idx = if k == frame {
-            idx
-        } else {
-            let idx = match self.index.get(&frame) {
-                Some(&i) => i,
-                None => {
-                    let i = self.pages.len() as u32;
-                    self.pages
-                        .push(vec![0u8; PAGE_SIZE as usize].into_boxed_slice());
-                    self.index.insert(frame, i);
-                    i
-                }
-            };
-            self.memo[slot].set((frame, idx));
-            idx
+        if k == frame {
+            return idx as usize;
+        }
+        let idx = match self.index.get(&frame) {
+            Some(&i) => i,
+            None => {
+                let i = self.pages.len() as u32;
+                self.pages
+                    .push(vec![0u8; PAGE_SIZE as usize].into_boxed_slice());
+                self.index.insert(frame, i);
+                i
+            }
         };
-        &mut self.pages[idx as usize]
+        self.memo[slot].set((frame, idx));
+        idx as usize
+    }
+
+    pub(crate) fn frame_mut(&mut self, frame: u64) -> &mut [u8] {
+        let idx = self.page_index_mut(frame);
+        &mut self.pages[idx]
+    }
+
+    /// Swaps the page buffer of `frame` with `page`: the frame now holds
+    /// `page`'s bytes and `page` receives the frame's old bytes (zeros for
+    /// an untouched frame, which is materialized). No bytes are copied.
+    /// The frame is journaled like any other frame write, and lookups stay
+    /// valid because the frame keeps its arena index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `frame` is beyond the memory size or `page` is not exactly
+    /// one page long.
+    pub(crate) fn exchange_frame(&mut self, frame: u64, page: &mut Box<[u8]>) {
+        assert_eq!(
+            page.len(),
+            PAGE_SIZE as usize,
+            "exchange_frame takes exactly one page"
+        );
+        self.check(PhysAddr(frame << PAGE_SHIFT), PAGE_SIZE);
+        let idx = self.page_index_mut(frame);
+        std::mem::swap(&mut self.pages[idx], page);
     }
 
     /// Copies `buf.len()` bytes starting at `addr` into `buf`.
@@ -394,6 +420,46 @@ mod tests {
         m.fill(PhysAddr(PAGE_SIZE - 4), 8, 0);
         m.read(PhysAddr(PAGE_SIZE - 4), &mut buf);
         assert_eq!(buf, [0; 8]);
+    }
+
+    fn page(byte: u8) -> Box<[u8]> {
+        vec![byte; PAGE_SIZE as usize].into_boxed_slice()
+    }
+
+    #[test]
+    fn exchange_frame_swaps_whole_pages() {
+        let mut m = SparseMemory::new(1 << 20);
+        m.enable_journal();
+        // A materialized frame, pulled into the lookup memo by a read.
+        m.fill(PhysAddr(3 * PAGE_SIZE), PAGE_SIZE, 0x11);
+        assert_eq!(m.read_u32(PhysAddr(3 * PAGE_SIZE + 8)), 0x1111_1111);
+        m.take_journal();
+        let mut buf = page(0x22);
+        m.exchange_frame(3, &mut buf);
+        assert_eq!(&buf[..], &page(0x11)[..], "caller gets the old bytes");
+        assert_eq!(
+            m.read_u32(PhysAddr(3 * PAGE_SIZE + 8)),
+            0x2222_2222,
+            "a memoized frame reads its new bytes"
+        );
+        assert_eq!(m.take_journal(), vec![3], "the exchange is journaled");
+        // An untouched frame is created; its old bytes are zeros.
+        let resident = m.resident_frames();
+        let mut buf = page(0x33);
+        m.exchange_frame(7, &mut buf);
+        assert_eq!(m.resident_frames(), resident + 1);
+        assert_eq!(&buf[..], &page(0)[..]);
+        let mut back = vec![0u8; PAGE_SIZE as usize];
+        m.read(PhysAddr(7 * PAGE_SIZE), &mut back);
+        assert_eq!(back, vec![0x33; PAGE_SIZE as usize]);
+        assert_eq!(m.take_journal(), vec![7]);
+    }
+
+    #[test]
+    #[should_panic(expected = "exactly one page")]
+    fn exchange_frame_rejects_a_short_buffer() {
+        let mut m = SparseMemory::new(1 << 16);
+        m.exchange_frame(0, &mut vec![0u8; 8].into_boxed_slice());
     }
 
     #[test]

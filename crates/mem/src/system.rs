@@ -446,6 +446,20 @@ impl MemorySystem {
         self.store.read(addr, buf);
     }
 
+    /// Functionally swaps the page at `pa` with the one-page buffer `page`,
+    /// with no timing and no copy: the page now holds `page`'s bytes and
+    /// `page` receives the page's old bytes. The swap device's swap-in
+    /// moves a whole page this way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pa` is not page-aligned or out of range, or `page` is not
+    /// exactly one page long.
+    pub fn exchange_frame(&mut self, pa: PhysAddr, page: &mut Box<[u8]>) {
+        assert!(pa.is_page_aligned(), "exchange_frame needs a page address");
+        self.store.exchange_frame(pa.frame(), page);
+    }
+
     /// Functional `u32` read.
     pub fn peek_u32(&self, addr: PhysAddr) -> u32 {
         self.store.read_u32(addr)

@@ -293,33 +293,25 @@ impl AddressSpace {
         Ok(())
     }
 
-    /// Whether `va` is covered by a VMA permitting the access (the check
+    /// The VMA covering `va` if it permits the access (the check
     /// [`handle_fault`](Self::handle_fault) performs before any page work).
-    pub(crate) fn check_access(&self, va: VirtAddr, write: bool) -> Result<(), Sigsegv> {
-        let vma = self.vma_of(va).ok_or(Sigsegv { va, write })?;
+    pub(crate) fn check_access(&self, va: VirtAddr, write: bool) -> Result<Vma, Sigsegv> {
+        let vma = *self.vma_of(va).ok_or(Sigsegv { va, write })?;
         if write && !vma.write {
             return Err(Sigsegv { va, write });
         }
-        Ok(())
+        Ok(vma)
     }
 
-    /// Whether an L2 table already covers `va` (capacity planning: a minor
-    /// fault without one needs a second frame).
-    pub(crate) fn has_l2(&self, mem: &MemorySystem, va: VirtAddr) -> bool {
-        self.l2_table(mem, va).is_some()
-    }
-
-    /// Physical address of the L2 table covering `va`, if one exists.
-    fn l2_table(&self, mem: &MemorySystem, va: VirtAddr) -> Option<PhysAddr> {
+    /// Physical address of the leaf PTE for `va` — its *leaf slot* — if an
+    /// L2 table covers `va`. The OS reads it once per fault or reclaim step
+    /// and hands it to the leaf updates below, which write it without
+    /// walking again. L2 tables are never freed, so a leaf slot stays valid
+    /// for the life of the space.
+    pub(crate) fn leaf_slot(&self, mem: &MemorySystem, va: VirtAddr) -> Option<PhysAddr> {
         let dir = DirEntry::decode(mem.peek_u32(self.root.offset(4 * va.l1_index() as u64)));
         dir.is_valid()
-            .then(|| PhysAddr::from_frame(dir.table_pfn()))
-    }
-
-    /// Physical address of the leaf PTE slot for `va`, if its L2 exists.
-    fn leaf_slot(&self, mem: &MemorySystem, va: VirtAddr) -> Option<PhysAddr> {
-        self.l2_table(mem, va)
-            .map(|t| t.offset(4 * va.l2_index() as u64))
+            .then(|| PhysAddr::from_frame(dir.table_pfn()).offset(4 * va.l2_index() as u64))
     }
 
     /// The decoded leaf PTE for `va` ([`Pte::INVALID`] if no L2 table is
@@ -327,73 +319,49 @@ impl AddressSpace {
     /// not-present states — the fault handler uses it to tell a swapped
     /// page from a never-mapped one.
     pub fn leaf_pte(&self, mem: &MemorySystem, va: VirtAddr) -> Pte {
-        match self.leaf_slot(mem, va) {
-            Some(slot) => Pte::decode(mem.peek_u32(slot)),
-            None => Pte::INVALID,
-        }
+        read_leaf(mem, self.leaf_slot(mem, va))
     }
 
-    /// Clears the accessed bit of the (present) leaf PTE for `va` — the
-    /// clock hand's second-chance pass.
-    pub(crate) fn clear_accessed(&mut self, mem: &mut MemorySystem, va: VirtAddr) {
-        if let Some(slot) = self.leaf_slot(mem, va) {
-            let pte = Pte::decode(mem.peek_u32(slot));
-            if pte.is_valid() {
-                let flags = PteFlags {
-                    accessed: false,
-                    ..pte.flags()
-                };
-                mem.poke_u32(slot, Pte::leaf(pte.pfn(), flags).encode());
-            }
-        }
+    /// Clears the accessed bit of the present leaf `pte` stored at `leaf`
+    /// — the clock hand's second-chance pass.
+    pub(crate) fn clear_accessed(&self, mem: &mut MemorySystem, leaf: PhysAddr, pte: Pte) {
+        debug_assert!(pte.is_valid(), "second chance for a non-present page");
+        let flags = PteFlags {
+            accessed: false,
+            ..pte.flags()
+        };
+        mem.poke_u32(leaf, Pte::leaf(pte.pfn(), flags).encode());
     }
 
-    /// Downgrades the present page at `va` to the swapped encoding
-    /// recording `slot`. The frame itself is released by the caller.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `va` has no L2 table (the page was never mapped).
-    pub(crate) fn swap_out_page(&mut self, mem: &mut MemorySystem, va: VirtAddr, slot: u64) {
-        let leaf = self.leaf_slot(mem, va).expect("swap-out of unmapped page");
+    /// Downgrades the present page whose PTE sits at `leaf` to the swapped
+    /// encoding recording `slot`. The frame itself is released by the
+    /// caller.
+    pub(crate) fn swap_out_page(&mut self, mem: &mut MemorySystem, leaf: PhysAddr, slot: u64) {
         mem.poke_u32(leaf, Pte::swapped(slot).encode());
         self.mapped_pages -= 1;
     }
 
-    /// Drops the present clean page at `va` back to not-present (its
-    /// contents are reproducible by re-zeroing on the next minor fault).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `va` has no L2 table.
-    pub(crate) fn evict_page(&mut self, mem: &mut MemorySystem, va: VirtAddr) {
-        let leaf = self.leaf_slot(mem, va).expect("eviction of unmapped page");
+    /// Drops the present clean page whose PTE sits at `leaf` back to
+    /// not-present (its contents are reproducible by re-zeroing on the next
+    /// minor fault).
+    pub(crate) fn evict_page(&mut self, mem: &mut MemorySystem, leaf: PhysAddr) {
         mem.poke_u32(leaf, Pte::INVALID.encode());
         self.mapped_pages -= 1;
     }
 
-    /// Re-installs the leaf for a swapped-in page at `va` in frame `pfn`,
-    /// with the owning VMA's permissions. `write` marks the faulting
+    /// Re-installs the swapped-in page whose PTE sits at `leaf` in frame
+    /// `pfn`, with the owning VMA's permissions (`vma`, as returned by
+    /// [`check_access`](Self::check_access)). `write` marks the faulting
     /// access, setting the dirty bit so a later reclaim writes the page
     /// back out.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Sigsegv`] if `va` left every VMA or the access violates
-    /// the VMA's permissions (the swap slot is then leaked deliberately —
-    /// the process is being killed).
     pub(crate) fn swap_in_page(
         &mut self,
         mem: &mut MemorySystem,
-        va: VirtAddr,
+        leaf: PhysAddr,
         pfn: u64,
+        vma: &Vma,
         write: bool,
-    ) -> Result<(), Sigsegv> {
-        let vma = *self.vma_of(va).ok_or(Sigsegv { va, write })?;
-        if write && !vma.write {
-            return Err(Sigsegv { va, write });
-        }
-        let leaf = self.leaf_slot(mem, va).expect("swap-in without L2 table");
+    ) {
         let flags = PteFlags {
             writable: vma.write,
             user: true,
@@ -403,7 +371,6 @@ impl AddressSpace {
         };
         mem.poke_u32(leaf, Pte::leaf(pfn, flags).encode());
         self.mapped_pages += 1;
-        Ok(())
     }
 
     /// Functional page-table walk (no timing): the mapping for `va`.
@@ -431,10 +398,7 @@ impl AddressSpace {
         frames: &mut FrameAllocator,
         mem: &mut MemorySystem,
     ) -> Result<FaultResolution, Sigsegv> {
-        let vma = *self.vma_of(va).ok_or(Sigsegv { va, write })?;
-        if write && !vma.write {
-            return Err(Sigsegv { va, write });
-        }
+        let vma = self.check_access(va, write)?;
         if self.translate(mem, va).is_some() {
             return Ok(FaultResolution::AlreadyPresent);
         }
@@ -529,6 +493,12 @@ impl AddressSpace {
             off += n;
         }
     }
+}
+
+/// Decodes the leaf PTE at `leaf`, or [`Pte::INVALID`] when no L2 table
+/// covers the address (`leaf` is `None`).
+pub(crate) fn read_leaf(mem: &MemorySystem, leaf: Option<PhysAddr>) -> Pte {
+    leaf.map_or(Pte::INVALID, |slot| Pte::decode(mem.peek_u32(slot)))
 }
 
 // ----------------------------------------------------------------------

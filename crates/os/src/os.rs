@@ -4,7 +4,7 @@ use svmsyn_mem::{MemorySystem, PhysAddr, VirtAddr, PAGE_SIZE};
 use svmsyn_sim::{Cycle, StatSet};
 use svmsyn_vm::tlb::Asid;
 
-use crate::addrspace::{AddressSpace, OsError, Sigsegv};
+use crate::addrspace::{read_leaf, AddressSpace, OsError, Sigsegv};
 use crate::costs::OsCosts;
 use crate::frame::{FrameAllocator, FrameError};
 use crate::reclaim::{Resident, ResidentSet};
@@ -251,7 +251,7 @@ impl Os {
     ///
     /// Reclaims performed while servicing queue TLB shootdowns; the
     /// simulation loop drains them into every MMU via
-    /// [`take_shootdowns`](Self::take_shootdowns).
+    /// [`drain_shootdowns`](Self::drain_shootdowns).
     ///
     /// # Errors
     ///
@@ -311,11 +311,14 @@ impl Os {
         mem: &mut MemorySystem,
     ) -> Result<(FaultKind, u64), Sigsegv> {
         let asid = self.spaces[idx].asid();
-        let pte = self.spaces[idx].leaf_pte(mem, va);
+        // One walk to the leaf slot serves the whole fault: reclaim never
+        // frees an L2 table, so the slot outlives the evictions below.
+        let leaf = self.spaces[idx].leaf_slot(mem, va);
+        let pte = read_leaf(mem, leaf);
         if pte.is_swapped() {
             // Major fault. Check permissions before touching the device so
             // a doomed access does not evict anyone.
-            self.spaces[idx].check_access(va, write)?;
+            let vma = self.spaces[idx].check_access(va, write)?;
             let reclaim_cost = self.ensure_frames(1, mem).ok_or(Sigsegv { va, write })?;
             let frame = self.frames.alloc().map_err(|_| Sigsegv { va, write })?;
             self.swap.fetch(
@@ -324,9 +327,8 @@ impl Os {
                 PhysAddr::from_frame(frame),
                 self.costs.swap_in,
             );
-            self.spaces[idx]
-                .swap_in_page(mem, va, frame, write)
-                .expect("permissions pre-checked");
+            let leaf = leaf.expect("a swapped PTE sits in an L2 table");
+            self.spaces[idx].swap_in_page(mem, leaf, frame, &vma, write);
             self.residents.insert(Resident {
                 frame,
                 asid,
@@ -335,7 +337,7 @@ impl Os {
             self.major_faults += 1;
             return Ok((FaultKind::Major, reclaim_cost));
         }
-        if self.spaces[idx].translate(mem, va).is_some() {
+        if pte.is_valid() {
             let r = self.spaces[idx].handle_fault(va, write, &mut self.frames, mem)?;
             debug_assert!(matches!(
                 r,
@@ -346,11 +348,7 @@ impl Os {
         // Minor fault: permissions first (see above), then make room for
         // the page plus a possible L2 table.
         self.spaces[idx].check_access(va, write)?;
-        let needed = if self.spaces[idx].has_l2(mem, va) {
-            1
-        } else {
-            2
-        };
+        let needed = if leaf.is_some() { 1 } else { 2 };
         let reclaim_cost = self
             .ensure_frames(needed, mem)
             .ok_or(Sigsegv { va, write })?;
@@ -391,14 +389,19 @@ impl Os {
             scans -= 1;
             let r = self.residents.current()?;
             let idx = (r.asid.0 - 1) as usize;
-            let pte = self.spaces[idx].leaf_pte(mem, r.va);
-            if !pte.is_valid() || pte.pfn() != r.frame || pte.flags().pinned {
-                // Stale registry entry (page already evicted or remapped).
-                self.residents.remove_current();
-                continue;
-            }
+            let space = &mut self.spaces[idx];
+            let leaf = space.leaf_slot(mem, r.va);
+            let pte = read_leaf(mem, leaf);
+            let leaf = match leaf {
+                Some(leaf) if pte.is_valid() && pte.pfn() == r.frame && !pte.flags().pinned => leaf,
+                _ => {
+                    // Stale registry entry (page already evicted or remapped).
+                    self.residents.remove_current();
+                    continue;
+                }
+            };
             if pte.flags().accessed {
-                self.spaces[idx].clear_accessed(mem, r.va);
+                space.clear_accessed(mem, leaf, pte);
                 self.residents.advance();
                 continue;
             }
@@ -410,9 +413,9 @@ impl Os {
                 let slot = self
                     .swap
                     .store(mem, PhysAddr::from_frame(r.frame), self.costs.swap_out);
-                self.spaces[idx].swap_out_page(mem, r.va, slot);
+                space.swap_out_page(mem, leaf, slot);
             } else {
-                self.spaces[idx].evict_page(mem, r.va);
+                space.evict_page(mem, leaf);
                 self.clean_evictions += 1;
             }
             self.frames.free(r.frame);
@@ -423,10 +426,12 @@ impl Os {
         None
     }
 
-    /// Drains the queued TLB shootdowns (one per reclaimed page). The
-    /// simulation loop broadcasts each to every MMU and CPU TLB.
-    pub fn take_shootdowns(&mut self) -> Vec<(Asid, VirtAddr)> {
-        std::mem::take(&mut self.pending_shootdowns)
+    /// Drains the queued TLB shootdowns (one per reclaimed page), oldest
+    /// first. The simulation loop broadcasts each to every MMU and CPU TLB.
+    /// The drain is in place: the queue keeps its capacity, so the next
+    /// reclaim's push does not allocate.
+    pub fn drain_shootdowns(&mut self) -> std::vec::Drain<'_, (Asid, VirtAddr)> {
+        self.pending_shootdowns.drain(..)
     }
 
     /// Queued, not-yet-broadcast shootdowns (peeked by the software CPU
@@ -690,7 +695,7 @@ mod tests {
             "reclaims queue shootdowns"
         );
         let n = os.pending_shootdowns().len();
-        assert_eq!(os.take_shootdowns().len(), n);
+        assert_eq!(os.drain_shootdowns().len(), n);
         assert!(os.pending_shootdowns().is_empty());
     }
 

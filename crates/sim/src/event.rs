@@ -20,9 +20,11 @@
 //!   exactly one absolute cycle, so a bucket's intrusive FIFO list *is* the
 //!   same-cycle insertion order — the determinism contract is structural, not
 //!   enforced by comparisons.
-//! * Events beyond the window land in a sorted overflow level (a `BTreeMap`
-//!   keyed by cycle) and are promoted wholesale whenever the wheel drains and
-//!   re-anchors, preserving per-cycle FIFO order.
+//! * Events beyond the window land in an overflow level: a binary heap of
+//!   `(cycle, schedule sequence, slot)` keys, so same-cycle overflow events
+//!   pop in insertion order. They are promoted whenever the wheel drains and
+//!   re-anchors. A far-future event costs one heap push and no allocation
+//!   once the heap has grown to the schedule's overflow depth.
 //!
 //! The previous `BinaryHeap`-of-boxed-closures engine is retained verbatim as
 //! [`reference::HeapScheduler`] so benchmarks and property tests can prove
@@ -30,7 +32,8 @@
 //! sequence the heap produced.
 
 use crate::time::Cycle;
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::marker::PhantomData;
 use std::mem::{align_of, size_of, ManuallyDrop, MaybeUninit};
 use std::ptr;
@@ -209,8 +212,10 @@ pub struct Scheduler<M> {
     occupancy: Box<[u64]>,
     slab: Vec<Slot<M>>,
     free_head: u32,
-    /// Far-future events, sorted by cycle; each `Vec` is in insertion order.
-    overflow: BTreeMap<u64, Vec<u32>>,
+    /// Far-future events as a min-heap of `(cycle, schedule sequence,
+    /// slot)`: the sequence (the `scheduled` count at booking) breaks
+    /// same-cycle ties in insertion order.
+    overflow: BinaryHeap<Reverse<(u64, u64, u32)>>,
 }
 
 impl<M> Default for Scheduler<M> {
@@ -246,7 +251,7 @@ impl<M> Scheduler<M> {
     ///
     /// Larger wheels keep more of the schedule on the O(1) path at the cost
     /// of `2^bits * 8` bytes of bucket headers; events beyond the window go
-    /// to the sorted overflow level and are promoted when the wheel drains.
+    /// to the overflow heap and are promoted when the wheel drains.
     /// `bits` is clamped to `[6, 20]`.
     pub fn with_wheel_bits(bits: u32) -> Self {
         let bits = bits.clamp(6, 20);
@@ -264,7 +269,7 @@ impl<M> Scheduler<M> {
             occupancy: vec![0u64; size / 64].into_boxed_slice(),
             slab: Vec::new(),
             free_head: NIL,
-            overflow: BTreeMap::new(),
+            overflow: BinaryHeap::new(),
         }
     }
 
@@ -332,7 +337,7 @@ impl<M> Scheduler<M> {
             return None;
         }
         if self.wheel_count == 0 {
-            return self.overflow.keys().next().map(|&t| Cycle(t));
+            return self.overflow.peek().map(|&Reverse((t, _, _))| Cycle(t));
         }
         Some(Cycle(self.next_occupied_time(self.now.0.max(self.base))))
     }
@@ -361,7 +366,7 @@ impl<M> Scheduler<M> {
         if t - self.base <= self.mask {
             self.enqueue_wheel(t, slot);
         } else {
-            self.overflow.entry(t).or_default().push(slot);
+            self.overflow.push(Reverse((t, self.scheduled, slot)));
         }
     }
 
@@ -437,14 +442,12 @@ impl<M> Scheduler<M> {
     fn rebase(&mut self, new_base: u64) {
         debug_assert_eq!(self.wheel_count, 0);
         self.base = new_base;
-        while let Some(entry) = self.overflow.first_entry() {
-            let t = *entry.key();
+        while let Some(&Reverse((t, _, slot))) = self.overflow.peek() {
             if t - new_base > self.mask {
                 break;
             }
-            for slot in entry.remove() {
-                self.enqueue_wheel(t, slot);
-            }
+            self.overflow.pop();
+            self.enqueue_wheel(t, slot);
         }
     }
 
@@ -478,7 +481,7 @@ impl<M> Scheduler<M> {
         if self.wheel_count == 0 {
             // Everything lives in the overflow level: re-anchor the window
             // at the earliest overflow cycle and promote.
-            let first = *self.overflow.keys().next().expect("pending > 0");
+            let Reverse((first, _, _)) = *self.overflow.peek().expect("pending > 0");
             self.rebase(first);
         }
         let t = self.next_occupied_time(self.now.0.max(self.base));

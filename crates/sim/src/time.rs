@@ -33,18 +33,21 @@ impl Cycle {
     pub const MAX: Cycle = Cycle(u64::MAX);
 
     /// Returns the later of `self` and `other`.
+    #[inline]
     #[must_use]
     pub fn max(self, other: Cycle) -> Cycle {
         Cycle(self.0.max(other.0))
     }
 
     /// Returns the earlier of `self` and `other`.
+    #[inline]
     #[must_use]
     pub fn min(self, other: Cycle) -> Cycle {
         Cycle(self.0.min(other.0))
     }
 
     /// Saturating subtraction: `self - other`, clamped at zero.
+    #[inline]
     #[must_use]
     pub fn saturating_sub(self, other: Cycle) -> Cycle {
         Cycle(self.0.saturating_sub(other.0))

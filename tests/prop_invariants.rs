@@ -16,46 +16,52 @@ use svmsyn_vm::tlb::{Asid, Replacement, Tlb, TlbConfig};
 type SchedTrace = Vec<(u64, u32)>;
 
 /// One generated event: fired at its scheduled cycle, it logs itself and
-/// respawns `fanout` children at deterministic (id-derived) delays — a mix
-/// of zero-delay same-cycle ties, short near-future hops, and far jumps that
-/// cross any realistic wheel window. Children stop respawning once ids grow
+/// respawns `fanout` children at deterministic delays — a mix of zero-delay
+/// same-cycle ties, short near-future hops, and far jumps that cross any
+/// realistic wheel window. The far jump is id-derived, or with `fixed_far`
+/// the fixed [`FAR_DELAY`], which lands the far children of same-cycle
+/// parents on one overflow cycle. Children stop respawning once ids grow
 /// past the depth bound, so every program terminates.
-fn child_delay(id: u32, k: u8) -> u64 {
+fn child_delay(id: u32, k: u8, fixed_far: bool) -> u64 {
     match k % 3 {
         0 => 0,                                    // same-cycle tie
         1 => (id as u64 * 37 + k as u64) % 61 + 1, // near future
+        _ if fixed_far => FAR_DELAY,               // overflow-level ties
         _ => (id as u64 * 131 + 7) % 9000 + 64,    // beyond small wheels
     }
 }
+
+/// A far-future delay beyond every tested wheel window (at most 2^12).
+const FAR_DELAY: u64 = 6_000;
 
 const RESPAWN_BOUND: u32 = 4_000;
 
 type WheelEvent = Box<dyn FnOnce(&mut SchedTrace, &mut Scheduler<SchedTrace>) + Send>;
 type HeapEvent = Box<dyn FnOnce(&mut SchedTrace, &mut HeapScheduler<SchedTrace>)>;
 
-fn wheel_prog_event(id: u32, fanout: u8) -> WheelEvent {
+fn wheel_prog_event(id: u32, fanout: u8, fixed_far: bool) -> WheelEvent {
     Box::new(move |m: &mut SchedTrace, s: &mut Scheduler<SchedTrace>| {
         m.push((s.now().0, id));
         if id < RESPAWN_BOUND {
             for k in 0..fanout {
                 s.schedule_in(
-                    Cycle(child_delay(id, k)),
-                    wheel_prog_event(id + 1000 + k as u32, fanout),
+                    Cycle(child_delay(id, k, fixed_far)),
+                    wheel_prog_event(id + 1000 + k as u32, fanout, fixed_far),
                 );
             }
         }
     })
 }
 
-fn heap_prog_event(id: u32, fanout: u8) -> HeapEvent {
+fn heap_prog_event(id: u32, fanout: u8, fixed_far: bool) -> HeapEvent {
     Box::new(
         move |m: &mut SchedTrace, s: &mut HeapScheduler<SchedTrace>| {
             m.push((s.now().0, id));
             if id < RESPAWN_BOUND {
                 for k in 0..fanout {
                     s.schedule_in(
-                        Cycle(child_delay(id, k)),
-                        heap_prog_event(id + 1000 + k as u32, fanout),
+                        Cycle(child_delay(id, k, fixed_far)),
+                        heap_prog_event(id + 1000 + k as u32, fanout, fixed_far),
                     );
                 }
             }
@@ -67,20 +73,33 @@ proptest! {
     /// The timing-wheel scheduler fires an arbitrary schedule in the exact
     /// `(time, insertion order)` sequence the retired heap engine produced,
     /// including same-cycle ties, pop-then-reschedule chains, and overflow
-    /// promotion across wheel windows of every size.
+    /// promotion across wheel windows of every size. With `fixed_far`, far
+    /// children tie on overflow cycles, and once both engines drain, the
+    /// roots are booked again past the window into the empty queue (a fault
+    /// wake under memory pressure) and run a second time.
     #[test]
     fn timing_wheel_matches_heap_scheduler(
         roots in prop::collection::vec((0u64..5_000, 0u8..4), 1..32),
         wheel_bits in 6u32..13,
+        fixed_far in any::<bool>(),
     ) {
         let mut wheel: Scheduler<SchedTrace> = Scheduler::with_wheel_bits(wheel_bits);
         let mut heap: HeapScheduler<SchedTrace> = HeapScheduler::new();
         for (i, &(t, fanout)) in roots.iter().enumerate() {
-            wheel.schedule_at(Cycle(t), wheel_prog_event(i as u32, fanout));
-            heap.schedule_at(Cycle(t), heap_prog_event(i as u32, fanout));
+            wheel.schedule_at(Cycle(t), wheel_prog_event(i as u32, fanout, fixed_far));
+            heap.schedule_at(Cycle(t), heap_prog_event(i as u32, fanout, fixed_far));
         }
         let mut wheel_trace = SchedTrace::new();
         let mut heap_trace = SchedTrace::new();
+        wheel.run(&mut wheel_trace);
+        heap.run(&mut heap_trace);
+        if fixed_far {
+            for (i, &(t, fanout)) in roots.iter().enumerate() {
+                let delay = Cycle(FAR_DELAY + t);
+                wheel.schedule_in(delay, wheel_prog_event(i as u32, fanout, true));
+                heap.schedule_in(delay, heap_prog_event(i as u32, fanout, true));
+            }
+        }
         let wheel_end = wheel.run(&mut wheel_trace);
         let heap_end = heap.run(&mut heap_trace);
         prop_assert_eq!(wheel.events_fired(), heap.events_fired());
