@@ -1,7 +1,8 @@
 //! # svmsyn-bench — experiment harnesses
 //!
-//! One binary per reconstructed table/figure (see `DESIGN.md` §5) plus
-//! criterion micro-benchmarks. This library holds the shared glue.
+//! One binary per reconstructed table/figure (`src/bin/`) plus the
+//! self-hosted component micro-benchmarks (`benches/micro.rs`). This
+//! library holds the shared glue.
 
 use svmsyn::flow::{synthesize, Placement, SystemDesign};
 use svmsyn::platform::Platform;

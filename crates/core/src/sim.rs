@@ -275,19 +275,6 @@ pub struct ShardSyncStats {
     pub window_len: u64,
 }
 
-impl ShardSyncStats {
-    /// The fraction of all shard-cycles spent idle at window barriers
-    /// (`0.0` when no windows ran).
-    pub fn barrier_wait_fraction(&self) -> f64 {
-        let total = self.windows * self.window_len * self.shards;
-        if total == 0 {
-            0.0
-        } else {
-            self.barrier_wait_cycles as f64 / total as f64
-        }
-    }
-}
-
 /// The outcome of a full-system simulation.
 #[derive(Debug)]
 pub struct SimOutcome {
@@ -426,31 +413,6 @@ impl SimOutcome {
     /// Wall-clock duration in microseconds at the design's achieved clock.
     pub fn wall_micros(&self, design: &SystemDesign) -> f64 {
         self.makespan.as_micros(design.system_mhz)
-    }
-
-    /// Human-readable run-health warnings for summary reports. Today this
-    /// flags one condition: a sharded run whose shards spent most of their
-    /// cycles idle at window barriers — the parallelism is not paying and
-    /// fewer shards would. The warning does not suggest a larger
-    /// `shard_window`: above the derived lookahead, cross-shard faults wait
-    /// for the next barrier and the simulated makespan grows.
-    pub fn summary_warnings(&self) -> Vec<String> {
-        let mut warnings = Vec::new();
-        if let Some(sync) = &self.sync {
-            let frac = sync.barrier_wait_fraction();
-            if sync.windows > 0 && frac > 0.5 {
-                warnings.push(format!(
-                    "barrier wait dominates: {:.0}% of shard-cycles idle across {} windows \
-                     ({} shards, window {} cycles) — lower shards (a larger shard_window \
-                     would delay cross-shard faults and change simulated time)",
-                    frac * 100.0,
-                    sync.windows,
-                    sync.shards,
-                    sync.window_len,
-                ));
-            }
-        }
-        warnings
     }
 }
 

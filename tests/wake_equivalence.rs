@@ -19,6 +19,10 @@
 //!    blocking discipline (wait for `done` before the next access) is
 //!    cycle-identical to the pre-existing blocking wrappers, on random
 //!    mixed read/write streams.
+//!
+//! It also holds the non-blocking MEMIF's payoff: on a mixed pointer-chase +
+//! streaming kernel, depth 4 beats the blocking configuration by ≥ 1.15× in
+//! simulated cycles.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -34,9 +38,10 @@ use svmsyn_hwt::thread::{HwStep, HwThread, HwThreadConfig};
 use svmsyn_mem::{
     FabricConfig, MasterId, MemConfig, MemorySystem, PhysAddr, TxnDesc, TxnKind, VirtAddr,
 };
-use svmsyn_sim::{Cycle, Scheduler};
+use svmsyn_sim::{Cycle, Scheduler, Xoshiro256ss};
 use svmsyn_vm::pte::{DirEntry, Pte, PteFlags};
 use svmsyn_vm::tlb::Asid;
+use svmsyn_workloads::chase::{chase_data, chase_stream_kernel};
 
 const MASTERS: usize = 3;
 
@@ -369,4 +374,57 @@ fn blocking_memif_config_never_parks() {
     assert_eq!(s.get("miss_parks"), Some(0.0));
     assert_eq!(s.get("memif.miss_overlap_cycles"), Some(0.0));
     assert_eq!(s.get("memif.hit_under_miss"), Some(0.0));
+}
+
+/// Simulated cycles of `chase_stream_kernel` at `miss_depth`: a 1024-hop
+/// chase around a 2048-node ring at VA 0 (16 KiB, 4× the burst cache, so
+/// hops keep missing), streaming `c[i] = a[i] + b[i]` at VA `0x8000`,
+/// `0x9000` and `0xA000`.
+fn chase_stream_cycles(miss_depth: u32) -> u64 {
+    const HOPS: u64 = 1024; // each stream array fills exactly one page
+    let (mut mem, root) = mapped_memory();
+    let mut rng = Xoshiro256ss::new(0xC0FFEE);
+    let (words, _) = chase_data(2048, HOPS, &mut rng);
+    let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+    mem.load(PhysAddr::from_frame(100), &bytes);
+    for i in 0..HOPS {
+        mem.poke_u32(PhysAddr::from_frame(108).offset(4 * i), i as u32);
+        mem.poke_u32(PhysAddr::from_frame(109).offset(4 * i), 2 * i as u32);
+    }
+    let ck = Arc::new(compile(&chase_stream_kernel(), &HlsConfig::default()));
+    let cfg = HwThreadConfig {
+        memif: MemifConfig {
+            miss_depth,
+            ..MemifConfig::default()
+        },
+    };
+    let args = [0, 0x8000, 0x9000, 0xA000, HOPS as i64];
+    let mut t = HwThread::new(ck, &args, &cfg, MasterId(2));
+    t.set_context(Asid(1), root);
+    let mut now = Cycle(0);
+    loop {
+        match t.advance(&mut mem, now, 100_000) {
+            HwStep::Yielded { now: n } => now = n,
+            HwStep::Parked { wake } => now = wake,
+            HwStep::Finished { now: end, .. } => return end.0,
+            HwStep::PageFault { fault, .. } => panic!("unexpected fault: {fault}"),
+        }
+    }
+}
+
+/// Hit-under-miss pays: while a chase hop's fill is outstanding, only the
+/// dependent next hop parks and the streaming element retires under the
+/// miss, so depth 4 finishes the mixed kernel ≥ 1.15× sooner than the
+/// blocking configuration. Simulated cycles are deterministic, so the bar
+/// is exact.
+#[test]
+fn hit_under_miss_beats_blocking_by_1_15x() {
+    let blocking = chase_stream_cycles(1);
+    let overlapped = chase_stream_cycles(4);
+    let speedup = blocking as f64 / overlapped as f64;
+    assert!(
+        speedup >= 1.15,
+        "hit-under-miss speedup {speedup:.3}x below the 1.15x bar \
+         (blocking {blocking}, depth 4 {overlapped})"
+    );
 }
