@@ -7,12 +7,42 @@
 //! live intervals plus dedicated registers for values that are live across
 //! block boundaries.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
-use crate::ir::{BlockId, Kernel, Op, OpClass, Terminator, Value};
+use crate::ir::{BlockId, Kernel, Op, Terminator, Value};
 use crate::pipeline::LoopPipeline;
-use crate::resource::BindingReport;
+use crate::resource::{unit_index, BindingReport, UNIT_CLASSES};
 use crate::sched::BlockSchedule;
+
+/// Per-class tallies of ops and peak concurrency.
+#[derive(Default)]
+struct FuTally {
+    /// Costed ops seen per class.
+    ops: [usize; UNIT_CLASSES.len()],
+    /// Most ops of one class sharing one cycle (or modulo slot).
+    peak: [usize; UNIT_CLASSES.len()],
+    /// `(class, cycle)` of every op in the current group.
+    keys: Vec<(usize, u32)>,
+}
+
+impl FuTally {
+    /// Counts the costed ops of one schedule, `(value, cycle)` each, with
+    /// ops in the same cycle sharing units.
+    fn add(&mut self, kernel: &Kernel, ops: impl IntoIterator<Item = (Value, u32)>) {
+        self.keys.clear();
+        for (v, c) in ops {
+            if let Some(u) = unit_index(kernel.instr(v).op.class()) {
+                self.ops[u] += 1;
+                self.keys.push((u, c));
+            }
+        }
+        self.keys.sort_unstable();
+        for same in self.keys.chunk_by(|a, b| a == b) {
+            let u = same[0].0;
+            self.peak[u] = self.peak[u].max(same.len());
+        }
+    }
+}
 
 /// Computes the binding report for a scheduled kernel.
 pub fn bind(
@@ -20,79 +50,56 @@ pub fn bind(
     schedules: &[BlockSchedule],
     pipelines: &HashMap<BlockId, LoopPipeline>,
 ) -> BindingReport {
-    let pipelined: HashSet<BlockId> = pipelines
-        .values()
-        .flat_map(|p| p.blocks.iter().copied())
-        .collect();
+    let mut pipelined = vec![false; kernel.blocks.len()];
+    for b in pipelines.values().flat_map(|p| &p.blocks) {
+        pipelined[b.0 as usize] = true;
+    }
 
     // --- FU allocation: peak concurrency per class -----------------------
-    let mut peak: HashMap<OpClass, usize> = HashMap::new();
-    let mut ops_per_class: HashMap<OpClass, usize> = HashMap::new();
+    let mut fu = FuTally::default();
     for b in kernel.block_ids() {
-        if pipelined.contains(&b) {
+        if pipelined[b.0 as usize] {
             continue; // counted via the pipeline's modulo table below
         }
         let sched = &schedules[b.0 as usize];
-        let mut per_cycle: HashMap<(OpClass, u32), usize> = HashMap::new();
-        for (&v, &c) in &sched.start {
-            let class = kernel.instr(v).op.class();
-            if class == OpClass::Free {
-                continue;
-            }
-            *ops_per_class.entry(class).or_insert(0) += 1;
-            let e = per_cycle.entry((class, c)).or_insert(0);
-            *e += 1;
-            let p = peak.entry(class).or_insert(0);
-            *p = (*p).max(*e);
-        }
+        fu.add(kernel, sched.start.iter().map(|(&v, &c)| (v, c)));
     }
     for p in pipelines.values() {
-        let mut per_slot: HashMap<(OpClass, u32), usize> = HashMap::new();
-        for (&v, &s) in &p.starts {
-            let class = kernel.instr(v).op.class();
-            if class == OpClass::Free {
-                continue;
-            }
-            *ops_per_class.entry(class).or_insert(0) += 1;
-            let e = per_slot.entry((class, s % p.ii)).or_insert(0);
-            *e += 1;
-            let pk = peak.entry(class).or_insert(0);
-            *pk = (*pk).max(*e);
-        }
+        fu.add(kernel, p.starts.iter().map(|(&v, &s)| (v, s % p.ii)));
     }
 
     // --- Register binding -------------------------------------------------
     // Values live across blocks (used in a different block than their def,
     // by a phi, or by a terminator) get dedicated registers.
-    let mut def_block: HashMap<Value, BlockId> = HashMap::new();
+    let mut def_block: Vec<Option<BlockId>> = vec![None; kernel.len()];
     for b in kernel.block_ids() {
         for &v in &kernel.block(b).instrs {
-            def_block.insert(v, b);
+            def_block[v.0 as usize] = Some(b);
         }
     }
-    let mut cross_block: HashSet<Value> = HashSet::new();
+    let mut cross_block = vec![false; kernel.len()];
     for b in kernel.block_ids() {
         for &v in &kernel.block(b).instrs {
             let op = &kernel.instr(v).op;
             if let Op::Phi(incoming) = op {
-                cross_block.insert(v);
+                cross_block[v.0 as usize] = true;
                 for (_, pv) in incoming {
-                    cross_block.insert(*pv);
+                    cross_block[pv.0 as usize] = true;
                 }
                 continue;
             }
-            for u in op.operands() {
-                if def_block.get(&u) != Some(&b) {
-                    cross_block.insert(u);
+            op.for_each_operand(|u| {
+                if def_block[u.0 as usize] != Some(b) {
+                    cross_block[u.0 as usize] = true;
                 }
-            }
+            });
         }
         match &kernel.block(b).term {
             Terminator::Branch { cond, .. } => {
-                cross_block.insert(*cond);
+                cross_block[cond.0 as usize] = true;
             }
             Terminator::Return(Some(v)) => {
-                cross_block.insert(*v);
+                cross_block[v.0 as usize] = true;
             }
             _ => {}
         }
@@ -100,35 +107,43 @@ pub fn bind(
 
     // Left-edge over intra-block temporaries per block.
     let mut shared_registers = 0usize;
+    // Latest start of a same-block user of each value (its own start if
+    // none): one pass over the block's uses.
+    let mut last_use: Vec<Option<u32>> = vec![None; kernel.len()];
+    let mut intervals: Vec<(u32, u32)> = Vec::new();
     for b in kernel.block_ids() {
         let sched = &schedules[b.0 as usize];
         let block = kernel.block(b);
-        // live interval: (def_end, last_use_start)
-        let mut intervals: Vec<(u32, u32)> = Vec::new();
         for &v in &block.instrs {
-            if cross_block.contains(&v) || !kernel.instr(v).op.defines_value() {
+            last_use[v.0 as usize] = sched.start.get(&v).copied();
+        }
+        for &u in &block.instrs {
+            let Some(&s) = sched.start.get(&u) else {
+                continue;
+            };
+            kernel.instr(u).op.for_each_operand(|v| {
+                if let Some(last) = &mut last_use[v.0 as usize] {
+                    *last = (*last).max(s);
+                }
+            });
+        }
+        // live interval: (def_end, last_use_start)
+        intervals.clear();
+        for &v in &block.instrs {
+            if cross_block[v.0 as usize] || !kernel.instr(v).op.defines_value() {
                 continue;
             }
-            let def = match sched.start.get(&v) {
-                Some(&s) => s,
-                None => continue,
+            let (Some(&def), Some(last)) = (sched.start.get(&v), last_use[v.0 as usize]) else {
+                continue;
             };
-            let mut last_use = def;
-            for &u in &block.instrs {
-                if kernel.instr(u).op.operands().contains(&v) {
-                    if let Some(&s) = sched.start.get(&u) {
-                        last_use = last_use.max(s);
-                    }
-                }
-            }
-            if last_use > def {
-                intervals.push((def, last_use));
+            if last > def {
+                intervals.push((def, last));
             }
         }
         intervals.sort_unstable();
         // Greedy left-edge: registers as rows of non-overlapping intervals.
         let mut rows: Vec<u32> = Vec::new(); // end time of each row
-        for (start, end) in intervals {
+        for &(start, end) in &intervals {
             match rows.iter_mut().find(|rend| **rend <= start) {
                 Some(rend) => *rend = end,
                 None => rows.push(end),
@@ -136,24 +151,26 @@ pub fn bind(
         }
         shared_registers = shared_registers.max(rows.len());
     }
-    let registers = cross_block.len() + shared_registers;
+    let registers = cross_block.iter().filter(|&&c| c).count() + shared_registers;
 
     // --- Mux estimate ------------------------------------------------------
     // Each shared FU with k ops bound to it needs (k-1) extra mux inputs per
     // operand port (2 ports).
     let mut mux_inputs = 0usize;
-    for (class, &n_ops) in &ops_per_class {
-        let units = peak.get(class).copied().unwrap_or(0).max(1);
+    for (&n_ops, &peak) in fu.ops.iter().zip(&fu.peak) {
+        let units = peak.max(1);
         if n_ops > units {
             mux_inputs += 2 * (n_ops - units);
         }
     }
 
+    // In `UNIT_CLASSES` order.
+    let [alu_units, mul_units, div_units, mem_ports] = fu.peak;
     BindingReport {
-        alu_units: peak.get(&OpClass::Alu).copied().unwrap_or(0),
-        mul_units: peak.get(&OpClass::Mul).copied().unwrap_or(0),
-        div_units: peak.get(&OpClass::Div).copied().unwrap_or(0),
-        mem_ports: peak.get(&OpClass::Mem).copied().unwrap_or(0).max(1),
+        alu_units,
+        mul_units,
+        div_units,
+        mem_ports: mem_ports.max(1),
         registers,
         mux_inputs,
     }

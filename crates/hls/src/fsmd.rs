@@ -10,7 +10,7 @@
 //!   `fmax_mhz`;
 //! * Table 2 prints everything.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use svmsyn_sim::FabricResources;
@@ -110,6 +110,11 @@ impl CompiledKernel {
 
 /// Compiles a kernel.
 ///
+/// # Panics
+///
+/// Panics if the kernel (after optimization) has an op whose class has zero
+/// units in `cfg.fu`; see [`list_schedule`] and [`pipeline_loop`].
+///
 /// # Example
 ///
 /// ```
@@ -136,20 +141,19 @@ pub fn compile(kernel: &Kernel, cfg: &HlsConfig) -> CompiledKernel {
         PassStats::default()
     };
 
-    let cfg_info = Cfg::new(&kernel);
     let mut pipelines: HashMap<BlockId, LoopPipeline> = HashMap::new();
     if cfg.pipeline_loops {
-        for lp in cfg_info.natural_loops() {
+        let loops = Cfg::new(&kernel).natural_loops();
+        for lp in &loops {
             // Innermost only: skip loops containing another loop's header.
-            let inner = cfg_info
-                .natural_loops()
+            let inner = loops
                 .iter()
                 .filter(|other| other.header != lp.header)
                 .all(|other| !lp.contains(other.header));
             if !inner {
                 continue;
             }
-            if let Ok(p) = pipeline_loop(&kernel, &lp, &cfg.fu) {
+            if let Ok(p) = pipeline_loop(&kernel, lp, &cfg.fu) {
                 pipelines.insert(lp.header, p);
             }
         }
@@ -164,16 +168,15 @@ pub fn compile(kernel: &Kernel, cfg: &HlsConfig) -> CompiledKernel {
 
     // FSM states: pipelined loops contribute their II (steady-state states);
     // other blocks their schedule length.
-    let pipelined: HashSet<BlockId> = pipelines
-        .values()
-        .flat_map(|p| p.blocks.iter().copied())
-        .collect();
+    let mut pipelined = vec![false; kernel.blocks.len()];
+    for b in pipelines.values().flat_map(|p| &p.blocks) {
+        pipelined[b.0 as usize] = true;
+    }
     let mut states: u32 = 0;
     for b in kernel.block_ids() {
-        if pipelined.contains(&b) {
-            continue;
+        if !pipelined[b.0 as usize] {
+            states += schedules[b.0 as usize].length;
         }
-        states += schedules[b.0 as usize].length;
     }
     for p in pipelines.values() {
         states += p.ii + 2; // steady state + prologue/epilogue control

@@ -312,13 +312,31 @@ impl Op {
 
     /// Iterates over the value operands (phi operands included).
     pub fn operands(&self) -> Vec<Value> {
+        let mut out = Vec::new();
+        self.for_each_operand(|v| out.push(v));
+        out
+    }
+
+    /// Calls `f` on each value operand, in [`operands`](Self::operands)
+    /// order, without allocating.
+    pub(crate) fn for_each_operand(&self, mut f: impl FnMut(Value)) {
         match self {
-            Op::Const(_) | Op::Arg(_) => vec![],
-            Op::Bin(_, a, b) | Op::Cmp(_, a, b) => vec![*a, *b],
-            Op::Select(c, a, b) => vec![*c, *a, *b],
-            Op::Load { addr, .. } => vec![*addr],
-            Op::Store { addr, value, .. } => vec![*addr, *value],
-            Op::Phi(inc) => inc.iter().map(|(_, v)| *v).collect(),
+            Op::Const(_) | Op::Arg(_) => {}
+            Op::Bin(_, a, b) | Op::Cmp(_, a, b) => {
+                f(*a);
+                f(*b);
+            }
+            Op::Select(c, a, b) => {
+                f(*c);
+                f(*a);
+                f(*b);
+            }
+            Op::Load { addr, .. } => f(*addr),
+            Op::Store { addr, value, .. } => {
+                f(*addr);
+                f(*value);
+            }
+            Op::Phi(inc) => inc.iter().for_each(|(_, v)| f(*v)),
         }
     }
 }

@@ -9,7 +9,7 @@
 
 use svmsyn_sim::FabricResources;
 
-use crate::ir::OpClass;
+use crate::ir::{Kernel, OpClass, Value};
 
 /// Latency in cycles of each operation class (result available after this
 /// many cycles).
@@ -85,6 +85,35 @@ impl FuBudget {
             OpClass::Div => self.div,
             OpClass::Mem => self.mem_ports,
         }
+    }
+
+    /// Panics unless the budget grants at least one unit to the class of
+    /// every op in `ops`: a scheduler can never place an op whose class has
+    /// no unit. A class no op uses may have zero units.
+    pub(crate) fn assert_covers(&self, kernel: &Kernel, ops: impl IntoIterator<Item = Value>) {
+        for v in ops {
+            let class = kernel.instr(v).op.class();
+            assert!(
+                self.of(class) > 0,
+                "FuBudget has 0 {class:?} units, but {v} needs one"
+            );
+        }
+    }
+}
+
+/// The classes that occupy a functional unit, in the order per-class arrays
+/// index them.
+pub(crate) const UNIT_CLASSES: [OpClass; 4] =
+    [OpClass::Alu, OpClass::Mul, OpClass::Div, OpClass::Mem];
+
+/// Index of `class` in [`UNIT_CLASSES`]; `None` for free ops.
+pub(crate) fn unit_index(class: OpClass) -> Option<usize> {
+    match class {
+        OpClass::Free => None,
+        OpClass::Alu => Some(0),
+        OpClass::Mul => Some(1),
+        OpClass::Div => Some(2),
+        OpClass::Mem => Some(3),
     }
 }
 

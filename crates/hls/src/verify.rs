@@ -5,8 +5,6 @@
 //! match the predecessors, uses that are not dominated by their definitions,
 //! and unreachable blocks.
 
-use std::collections::HashSet;
-
 use crate::cfg::Cfg;
 use crate::ir::{BlockId, Kernel, Op, Terminator, Value};
 
@@ -256,7 +254,6 @@ pub fn verify(kernel: &Kernel) -> Result<(), VerifyError> {
 
     // Instructions not attached to any block must not be referenced — they
     // are dead arena slots left by passes, which is fine.
-    let _unused: HashSet<u32> = HashSet::new();
     Ok(())
 }
 

@@ -12,7 +12,7 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use crate::fsmd::CompiledKernel;
-use crate::ir::{BlockId, Op, Terminator, Value};
+use crate::ir::{Op, Terminator, Value};
 
 /// Renders the kernel as a Verilog module.
 ///
@@ -67,13 +67,11 @@ pub fn emit_verilog(ck: &CompiledKernel) -> String {
     let _ = writeln!(out);
 
     // State encoding: a contiguous state id per (block, cycle).
-    let mut state_of: HashMap<(BlockId, u32), u32> = HashMap::new();
     let mut next_state: u32 = 1; // 0 = IDLE
     let _ = writeln!(out, "  localparam S_IDLE = 32'd0;");
     for b in k.block_ids() {
         let len = ck.schedules[b.0 as usize].length.max(1);
         for c in 0..len {
-            state_of.insert((b, c), next_state);
             let _ = writeln!(out, "  localparam S_B{}_C{} = 32'd{};", b.0, c, next_state);
             next_state += 1;
         }

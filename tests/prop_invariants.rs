@@ -280,6 +280,7 @@ proptest! {
         let budget = FuBudget { alu: 1, mul: 1, div: 1, mem_ports: 1 };
         let block = svmsyn_hls::ir::BlockId(0);
         let sched = list_schedule(&kernel, block, &budget);
+        prop_assert_eq!(&sched, &svmsyn_hls::sched::reference::list_schedule(&kernel, block, &budget));
         // Dependences hold.
         for e in block_deps(&kernel, block) {
             prop_assert!(sched.start_of(e.from) + e.min_delay <= sched.start_of(e.to));
