@@ -8,8 +8,8 @@
 //! Whole runs are not timed here: `perfbench/` times the full-system,
 //! memory-pressure, DSE-sweep and sharded workloads end to end, with
 //! medians, spreads and statistics fingerprints. Deterministic bars (fabric
-//! overlap, hit-under-miss, sampled coverage, parallel == serial sweeps,
-//! sharded == serial outputs) belong to the test suites, not here.
+//! overlap, hit-under-miss, parallel == serial sweeps, sharded == serial
+//! outputs) belong to the test suites, not here.
 //!
 //! Run with `cargo bench --bench micro`. Each entry is the median of
 //! [`PASSES`] timed passes after one warm-up pass. Results are printed as a

@@ -26,9 +26,6 @@
 //! * [`fingerprint`] — canonical content hashes of applications and
 //!   platforms: the key material of the content-addressed result store.
 //! * [`report`] — text tables for the experiment harnesses.
-//! * [`sample`] — SimPoint-style sampled simulation: BBV phase profiling,
-//!   deterministic k-means clustering, and checkpoint-fast-forwarded
-//!   window simulation with per-stat confidence intervals.
 //!
 //! # Example
 //!
@@ -71,7 +68,6 @@ pub mod fingerprint;
 pub mod flow;
 pub mod platform;
 pub mod report;
-pub mod sample;
 pub mod shard;
 pub mod sim;
 mod step;
@@ -86,7 +82,6 @@ pub use dse::{explore, explore_with_store, DseConfig, DseError, DseMethod, DsePa
 pub use fingerprint::{app_fingerprint, platform_fingerprint};
 pub use flow::{synthesize, Placement, SynthesisError, SystemDesign};
 pub use platform::{Platform, PressurePoint};
-pub use sample::{SampleConfig, SampleProfile, SampledEstimate, SampledRun, StatEstimate};
 pub use shard::{planned_shards, simulate_sharded, ExecMode, ShardedSim};
 pub use sim::{
     simulate, RunProgress, ShardSyncStats, Sim, SimConfig, SimError, SimOutcome, SNAPSHOT_VERSION,

@@ -37,8 +37,13 @@ pub const SNAPSHOT_VERSION: u32 = 1;
 /// Simulation options.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimConfig {
-    /// Cycle budget per thread advance (smaller = fairer calendar
-    /// interleaving, more events).
+    /// Cycles a thread runs per step. It does two jobs: a hardware
+    /// thread's advance budget (how far it runs before it yields to the
+    /// event loop) and a software thread's OS time slice (each slice pays a
+    /// context switch). Multi-thread makespans depend on it, because a
+    /// hardware thread that runs ahead books the shared fabric and DRAM
+    /// calendar out of time order and the threads behind it find it busy;
+    /// ROADMAP.md tracks making it a pure speed knob.
     pub quantum: u64,
     /// Hard cap on scheduler events (runaway guard).
     pub max_events: u64,
@@ -72,10 +77,14 @@ pub struct SimConfig {
 }
 
 impl Default for SimConfig {
-    /// 2 k-cycle quanta (fine enough that concurrent threads book the
-    /// shared-bus calendar in near-time-order), 5 M events, a 64-retry
-    /// per-access fault budget, and the rate watchdog off (pressure
-    /// scenarios opt in with a limit matched to their fault costs).
+    /// 2 k-cycle quanta, 5 M events, a 64-retry per-access fault budget,
+    /// and the rate watchdog off (pressure scenarios opt in with a limit
+    /// matched to their fault costs).
+    ///
+    /// The quantum is not a converged value (see [`SimConfig::quantum`]):
+    /// the six-thread Fig. 7 app, all-HW on `Platform::default()`, takes
+    /// 46,412 cycles at quantum 1 and 10, 90,077 at 2,000 and 152,826 at
+    /// 50,000.
     fn default() -> Self {
         SimConfig {
             quantum: 2_000,
@@ -300,93 +309,73 @@ pub struct SimOutcome {
     pub sync: Option<ShardSyncStats>,
 }
 
-/// Assembles the system-wide counter set from its components — shared by
-/// the final [`SimOutcome::stats`] and the mid-run [`Sim::live_stats`], so
-/// the sampling estimator's per-interval deltas use exactly the same keys
-/// and aggregation rules as the ground-truth totals it extrapolates.
-pub(crate) fn assemble_stats<'a>(
-    makespan: Cycle,
-    thread_stats: impl Iterator<Item = &'a StatSet>,
-    os: &Os,
-    mem: &MemorySystem,
-    shootdowns: u64,
-) -> StatSet {
-    let mut stats = StatSet::new();
-    stats.put("makespan", makespan.0 as f64);
-    stats.absorb("os", os.stats());
-    stats.absorb("mem", mem.stats());
-    // Memory-pressure health: how hard the frame budget squeezed
-    // the run. `shootdowns` counts per-target invalidations (a
-    // broadcast to N MMUs is N shootdowns — the storm, not the
-    // trigger).
-    stats.put("pressure.major_faults", os.major_faults() as f64);
-    stats.put("pressure.reclaims", os.reclaims() as f64);
-    stats.put("pressure.shootdowns", shootdowns as f64);
-    stats.put("pressure.swap_busy_cycles", os.swap.busy_cycles() as f64);
-    // System-wide walker health: the hardware threads' per-level
-    // walk-cache hit rates, aggregated over all MMUs. Software
-    // threads have no walker and contribute nothing.
-    let (mut walks, mut l1_hits, mut l2_hits) = (0.0, 0.0, 0.0);
-    // Hit-under-miss health of the non-blocking MEMIFs: accesses
-    // that retired while a fill was outstanding, and the fill
-    // latency hidden behind execution instead of stalling.
-    let (mut hum, mut overlap, mut parks) = (0.0, 0.0, 0.0);
-    for s in thread_stats {
-        if let Some(w) = s.get("memif.mmu.walker.walks") {
-            walks += w;
-            l1_hits += s.get("memif.mmu.walker.l1_walk_hits").unwrap_or(0.0)
-                + s.get("memif.mmu.walker.dir_coalesced").unwrap_or(0.0);
-            l2_hits += s.get("memif.mmu.walker.l2_walk_hits").unwrap_or(0.0);
-        }
-        hum += s.get("memif.hit_under_miss").unwrap_or(0.0);
-        overlap += s.get("memif.miss_overlap_cycles").unwrap_or(0.0);
-        parks += s.get("miss_parks").unwrap_or(0.0);
-    }
-    stats.put("memif.hit_under_miss", hum);
-    stats.put("memif.miss_overlap_cycles", overlap);
-    stats.put("memif.miss_parks", parks);
-    stats.put("vm.walks", walks);
-    // The raw hit counters ride along with the rates: rates are ratios of
-    // counters, and the sampling estimator extrapolates counters (additive
-    // over intervals) and re-derives the ratios from them.
-    stats.put("vm.l1_walk_hits", l1_hits);
-    stats.put("vm.l2_walk_hits", l2_hits);
-    let rate = |hits: f64| if walks > 0.0 { hits / walks } else { 0.0 };
-    stats.put("vm.l1_walk_hit_rate", rate(l1_hits));
-    stats.put("vm.l2_walk_hit_rate", rate(l2_hits));
-    // Fabric health: how much the split-transaction fabric actually
-    // overlapped. `outstanding_mean` is the system-wide average
-    // number of in-flight transactions (Σ per-master occupancy
-    // integrals over the makespan); per-master `overlap` and
-    // `window_stall_cycles` breakdowns live under `mem.fabric.mN.*`.
-    // `inflight_cycles` and `data_busy_cycles` are those ratios'
-    // numerators, exported for the same counters-first reason as the
-    // walk-hit counts above.
-    let f = mem.fabric().stats();
-    let span = makespan.0.max(1) as f64;
-    let inflight = f.get("inflight_cycles").unwrap_or(0.0);
-    stats.put("fabric.inflight_cycles", inflight);
-    stats.put("fabric.outstanding_mean", inflight / span);
-    stats.put("fabric.merges", f.get("merges").unwrap_or(0.0));
-    stats.put("fabric.data_busy_cycles", mem.fabric().busy_cycles() as f64);
-    stats.put(
-        "fabric.data_utilization",
-        mem.fabric().utilization(makespan),
-    );
-    stats
-}
-
 impl SimOutcome {
     /// System-wide counters (OS, bus, DRAM absorbed), assembled lazily on
     /// first call — simulation itself never pays for the snapshot.
     pub fn stats(&self) -> &StatSet {
         self.stats.get_or_init(|| {
-            let mut stats = assemble_stats(
-                self.makespan,
-                self.threads.iter().map(|t| t.stats()),
-                &self.os,
-                &self.mem,
-                self.shootdowns,
+            let (os, mem, makespan) = (&self.os, &self.mem, self.makespan);
+            let mut stats = StatSet::new();
+            stats.put("makespan", makespan.0 as f64);
+            stats.absorb("os", os.stats());
+            stats.absorb("mem", mem.stats());
+            // Memory-pressure health: how hard the frame budget squeezed
+            // the run. `shootdowns` counts per-target invalidations (a
+            // broadcast to N MMUs is N shootdowns — the storm, not the
+            // trigger).
+            stats.put("pressure.major_faults", os.major_faults() as f64);
+            stats.put("pressure.reclaims", os.reclaims() as f64);
+            stats.put("pressure.shootdowns", self.shootdowns as f64);
+            stats.put("pressure.swap_busy_cycles", os.swap.busy_cycles() as f64);
+            // System-wide walker health: the hardware threads' per-level
+            // walk-cache hit rates, aggregated over all MMUs. Software
+            // threads have no walker and contribute nothing.
+            let (mut walks, mut l1_hits, mut l2_hits) = (0.0, 0.0, 0.0);
+            // Hit-under-miss health of the non-blocking MEMIFs: accesses
+            // that retired while a fill was outstanding, and the fill
+            // latency hidden behind execution instead of stalling.
+            let (mut hum, mut overlap, mut parks) = (0.0, 0.0, 0.0);
+            for s in self.threads.iter().map(|t| t.stats()) {
+                if let Some(w) = s.get("memif.mmu.walker.walks") {
+                    walks += w;
+                    l1_hits += s.get("memif.mmu.walker.l1_walk_hits").unwrap_or(0.0)
+                        + s.get("memif.mmu.walker.dir_coalesced").unwrap_or(0.0);
+                    l2_hits += s.get("memif.mmu.walker.l2_walk_hits").unwrap_or(0.0);
+                }
+                hum += s.get("memif.hit_under_miss").unwrap_or(0.0);
+                overlap += s.get("memif.miss_overlap_cycles").unwrap_or(0.0);
+                parks += s.get("miss_parks").unwrap_or(0.0);
+            }
+            stats.put("memif.hit_under_miss", hum);
+            stats.put("memif.miss_overlap_cycles", overlap);
+            stats.put("memif.miss_parks", parks);
+            stats.put("vm.walks", walks);
+            // The raw hit counters ride along with the rates because ratios
+            // do not add across runs: perfbench sums `vm.l2_walk_hits` and
+            // `fabric.inflight_cycles` over its runs to re-derive the rates,
+            // and its `stats_digest` hashes every key.
+            stats.put("vm.l1_walk_hits", l1_hits);
+            stats.put("vm.l2_walk_hits", l2_hits);
+            let rate = |hits: f64| if walks > 0.0 { hits / walks } else { 0.0 };
+            stats.put("vm.l1_walk_hit_rate", rate(l1_hits));
+            stats.put("vm.l2_walk_hit_rate", rate(l2_hits));
+            // Fabric health: how much the split-transaction fabric actually
+            // overlapped. `outstanding_mean` is the system-wide average
+            // number of in-flight transactions (Σ per-master occupancy
+            // integrals over the makespan); per-master `overlap` and
+            // `window_stall_cycles` breakdowns live under `mem.fabric.mN.*`.
+            // `inflight_cycles` and `data_busy_cycles` are those ratios'
+            // numerators, exported like the walk-hit counters above.
+            let f = mem.fabric().stats();
+            let span = makespan.0.max(1) as f64;
+            let inflight = f.get("inflight_cycles").unwrap_or(0.0);
+            stats.put("fabric.inflight_cycles", inflight);
+            stats.put("fabric.outstanding_mean", inflight / span);
+            stats.put("fabric.merges", f.get("merges").unwrap_or(0.0));
+            stats.put("fabric.data_busy_cycles", mem.fabric().busy_cycles() as f64);
+            stats.put(
+                "fabric.data_utilization",
+                mem.fabric().utilization(makespan),
             );
             // Sharded runs report their barrier-protocol cost; the keys are
             // simply absent from serial runs so stat diffs between engines
@@ -828,63 +817,6 @@ impl<'d> Sim<'d> {
         &self.state.os
     }
 
-    /// The system-wide counter set at the current simulation time, keyed
-    /// and aggregated exactly like the final [`SimOutcome::stats`] (with
-    /// `makespan` reading the current cycle). Differences of two
-    /// `live_stats` snapshots are the per-interval deltas the sampling
-    /// estimator extrapolates from; ratio keys (`*_rate`, `*_mean`,
-    /// `*_utilization`) are only meaningful cumulatively, which is why the
-    /// set also carries their raw numerator counters.
-    pub fn live_stats(&self) -> StatSet {
-        let thread_stats: Vec<StatSet> =
-            self.state.threads.iter().map(|t| t.body.stats()).collect();
-        assemble_stats(
-            self.sched.now(),
-            thread_stats.iter(),
-            &self.state.os,
-            &self.state.mem,
-            self.state.shootdowns,
-        )
-    }
-
-    /// Turns on basic-block profiling in every thread's interpreter.
-    /// Instrumentation only: snapshots taken from a profiled run are
-    /// byte-identical to unprofiled ones, and restoring never re-enables
-    /// profiling.
-    pub fn enable_block_profile(&mut self) {
-        for t in &mut self.state.threads {
-            match &mut t.body {
-                Body::Sw(sw) => sw.enable_block_profile(),
-                Body::Hw(hw) => hw.enable_block_profile(),
-            }
-        }
-    }
-
-    /// The basic-block-vector signature accumulated since profiling was
-    /// enabled: every thread's per-block entry counters, concatenated in
-    /// application thread order. Dimensions are stable for a given design
-    /// (Σ blocks over threads), so differences of two snapshots are the
-    /// per-interval BBVs that phase clustering consumes. All-zero until
-    /// [`enable_block_profile`](Self::enable_block_profile) is called.
-    pub fn bbv_snapshot(&self) -> Vec<u64> {
-        let mut bbv = Vec::new();
-        for (i, t) in self.state.threads.iter().enumerate() {
-            let visits = match &t.body {
-                Body::Sw(sw) => sw.block_visits(),
-                Body::Hw(hw) => hw.block_visits(),
-            };
-            if visits.is_empty() {
-                // Profiling off (or a restored body): keep dimensions
-                // stable so callers can still diff snapshots.
-                let blocks = self.design.app.threads[i].decoded.num_blocks().max(1);
-                bbv.resize(bbv.len() + blocks, 0);
-            } else {
-                bbv.extend_from_slice(visits);
-            }
-        }
-        bbv
-    }
-
     /// Post-event bookkeeping: shootdown broadcast, event cap, fault-rate
     /// watchdog. Returns `false` when the run must stop (an error was set).
     fn after_step(&mut self) -> bool {
@@ -1165,9 +1097,9 @@ pub(crate) struct SnapshotParts {
     pub(crate) shootdowns: u64,
     pub(crate) threads: Vec<ThreadRt>,
     pub(crate) next_step_seq: u64,
-    /// Pending steps, validated (in-range thread, `at >= now`,
-    /// `seq < next_step_seq`) but in image order — sort by `(at, seq)`
-    /// before re-scheduling.
+    /// Pending steps, validated (in-range thread named at most once,
+    /// `at >= now`, `seq < next_step_seq`) but in image order — sort by
+    /// `(at, seq)` before re-scheduling.
     pub(crate) steps: Vec<(Cycle, u64, u32)>,
 }
 
@@ -1272,9 +1204,15 @@ pub(crate) fn read_snapshot(
     if steps.len() as u64 > scheduled {
         return Err(SnapError::Corrupt("pending-step count"));
     }
+    // A live run keeps at most one pending step per thread; a duplicate
+    // would step that thread twice and end the run early.
+    let mut stepping = vec![false; threads.len()];
     for &(at, seq, t) in &steps {
         if t as usize >= threads.len() {
             return Err(SnapError::Corrupt("pending-step thread index"));
+        }
+        if std::mem::replace(&mut stepping[t as usize], true) {
+            return Err(SnapError::Corrupt("pending-step thread named twice"));
         }
         if at < now {
             return Err(SnapError::Corrupt("pending-step fire time"));

@@ -176,14 +176,6 @@ pub struct Interp {
     /// Pending control dependence: the poison of the last executed
     /// `Branch`'s condition, delivered with the next `BlockChange`.
     ctrl_poison: u32,
-    /// Per-block entry counters for phase profiling (BBV collection). Empty
-    /// until [`enable_block_profile`](Self::enable_block_profile) — the
-    /// plain execution paths never touch it. Instrumentation, not machine
-    /// state: deliberately *not* serialized by
-    /// [`save_state`](Self::save_state), so enabling profiling cannot
-    /// perturb snapshot images, and a restored interpreter starts with
-    /// profiling off.
-    block_visits: Vec<u64>,
 }
 
 impl Interp {
@@ -231,25 +223,7 @@ impl Interp {
             step_limit: u64::MAX,
             poison: Vec::new(),
             ctrl_poison: 0,
-            block_visits: Vec::new(),
         }
-    }
-
-    /// Turns on per-block entry counting (BBV collection for phase
-    /// profiling). Counters start at zero; the entry block's initial entry
-    /// is not counted (profiling observes *transitions*, mirroring the
-    /// `BlockChange` event stream). Idempotent — re-enabling keeps the
-    /// accumulated counts.
-    pub fn enable_block_profile(&mut self) {
-        if self.block_visits.is_empty() {
-            self.block_visits = vec![0; self.prog.num_blocks().max(1)];
-        }
-    }
-
-    /// The per-block entry counters, indexed by [`BlockId`]. Empty unless
-    /// [`enable_block_profile`](Self::enable_block_profile) was called.
-    pub fn block_visits(&self) -> &[u64] {
-        &self.block_visits
     }
 
     /// The decoded program this interpreter executes.
@@ -422,7 +396,6 @@ impl Interp {
             step_limit,
             poison,
             ctrl_poison,
-            block_visits,
         } = self;
         let uops = prog.uops();
         let vals = vals.as_mut_slice();
@@ -584,9 +557,6 @@ impl Interp {
                 }
                 UCode::Jump => {
                     pcv = u.dst;
-                    if !block_visits.is_empty() {
-                        block_visits[u.b as usize] += 1;
-                    }
                     // The branch that selected this edge (if any) left its
                     // condition poison pending: this BlockChange is where
                     // the control dependence surfaces, then it is spent.
@@ -765,9 +735,6 @@ impl Interp {
             step_limit,
             poison,
             ctrl_poison,
-            // Instrumentation is not machine state: a restored interpreter
-            // starts with profiling off regardless of the donor's setting.
-            block_visits: Vec::new(),
         })
     }
 }

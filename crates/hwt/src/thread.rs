@@ -178,17 +178,6 @@ impl HwThread {
         &self.core.compiled
     }
 
-    /// Turns on the interpreter's per-block entry counting (BBV phase
-    /// profiling). Instrumentation only — snapshot images are unaffected.
-    pub fn enable_block_profile(&mut self) {
-        self.interp.enable_block_profile();
-    }
-
-    /// Per-block entry counters (empty unless profiling is enabled).
-    pub fn block_visits(&self) -> &[u64] {
-        self.interp.block_visits()
-    }
-
     /// Whether the kernel has completed.
     pub fn is_finished(&self) -> bool {
         self.core.finished

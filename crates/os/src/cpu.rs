@@ -234,17 +234,6 @@ impl SwExec {
         self.core.instrs
     }
 
-    /// Turns on the interpreter's per-block entry counting (BBV phase
-    /// profiling). Instrumentation only — snapshot images are unaffected.
-    pub fn enable_block_profile(&mut self) {
-        self.interp.enable_block_profile();
-    }
-
-    /// Per-block entry counters (empty unless profiling is enabled).
-    pub fn block_visits(&self) -> &[u64] {
-        self.interp.block_visits()
-    }
-
     /// Applies a TLB shootdown for one page (the broadcast half of frame
     /// reclaim; idempotent with the mid-slice drop in fault service).
     pub fn shootdown(&mut self, asid: Asid, va: VirtAddr) {

@@ -24,6 +24,7 @@ use svmsyn_hls::builder::KernelBuilder;
 use svmsyn_hls::ir::{BinOp, CmpOp, Kernel, Width};
 use svmsyn_os::AllocPolicy;
 use svmsyn_sim::Cycle;
+use svmsyn_workloads::default_suite;
 
 /// `dst[i] = src[i] * 3` for `i in 0..n` — the canonical streaming kernel;
 /// two live buffers, so small frame budgets force reclaim and shootdowns.
@@ -187,6 +188,63 @@ proptest! {
         let paused = simulate(&design, &paused_cfg)
             .map_err(|e| format!("paused run failed where reference succeeded: {e}"))?;
         prop_assert_eq!(fingerprint_outcome(&paused, n), fingerprint_outcome(&reference, n));
+    }
+}
+
+/// Pause transparency over the whole default suite, all-HW and all-SW:
+/// pausing every `events / 64` events and resuming by hand, and restoring
+/// from the middle pause's checkpoint, both end exactly like the unpaused
+/// run — makespan, every `stats()` entry and every buffer.
+#[test]
+fn suite_wide_pauses_and_mid_run_restore_are_invisible() {
+    let platform = Platform::default();
+    let base = SimConfig::default();
+    let surface = |o: &SimOutcome, app: &Application| {
+        let buffers: Vec<Vec<u8>> = (0..app.buffers.len())
+            .map(|i| {
+                let mut b = vec![0u8; app.buffers[i].len as usize];
+                o.read_buffer(i, &mut b);
+                b
+            })
+            .collect();
+        let stats: Vec<(String, f64)> = o.stats().iter().map(|(k, v)| (k.to_string(), v)).collect();
+        (o.makespan, stats, buffers)
+    };
+    for placement in [Placement::Hardware, Placement::Software] {
+        for w in default_suite(2024) {
+            let name = format!("{}/{placement:?}", w.name);
+            let placements = vec![placement; w.app.threads.len()];
+            let design = synthesize(&w.app, &platform, &placements).unwrap();
+            let mut sim = Sim::new(&design, &base).unwrap();
+            assert!(matches!(sim.run().unwrap(), RunProgress::Complete));
+            let cfg = SimConfig {
+                checkpoint_every: (sim.events_fired() / 64).max(1),
+                ..base
+            };
+            let (makespan, stats, buffers) = surface(&sim.finish().unwrap(), &w.app);
+            let check = |o: &SimOutcome, run: &str| {
+                let got = surface(o, &w.app);
+                assert_eq!(got.0, makespan, "{name}: {run} makespan");
+                assert_eq!(got.1, stats, "{name}: {run} stats");
+                assert!(got.2 == buffers, "{name}: {run} buffers");
+            };
+
+            // Run A: pause every interval, hand-resume to the end.
+            let mut sim = Sim::new(&design, &cfg).unwrap();
+            let mut pauses = Vec::new();
+            while let RunProgress::Paused(cp) = sim.run().unwrap() {
+                pauses.push(cp);
+            }
+            assert!(pauses.len() >= 2, "{name}: only {} pauses", pauses.len());
+            check(&sim.finish().unwrap(), "paused run");
+
+            // Run B: restore from run A's middle pause and run to the end.
+            let mid = &pauses[pauses.len() / 2];
+            check(
+                &resume_to_end(Sim::restore(&design, &cfg, mid).unwrap()).unwrap(),
+                "restored run",
+            );
+        }
     }
 }
 

@@ -10,7 +10,7 @@
 use proptest::prelude::*;
 use svmsyn::flow::{synthesize, Placement, SystemDesign};
 use svmsyn::platform::{Platform, PressurePoint};
-use svmsyn::sim::{RunProgress, Sim, SimConfig, SimError, SNAPSHOT_VERSION};
+use svmsyn::sim::{simulate, RunProgress, Sim, SimConfig, SimError, SNAPSHOT_VERSION};
 use svmsyn::{Checkpoint, ExecMode, ShardedSim};
 use svmsyn_os::AllocPolicy;
 use svmsyn_sim::Cycle;
@@ -239,6 +239,57 @@ fn foreign_design_is_rejected_as_design_mismatch() {
     );
     // And the checkpoint still restores fine into its own design.
     assert!(Sim::restore(&design_a, &cfg, &cp).is_ok());
+}
+
+/// A well-formed image whose pending-step list names one thread twice —
+/// the last entry appended again, with its own seq or a fresh one below
+/// `next_step_seq` — is rejected as corrupt instead of resuming into a run
+/// that ends early with a wrong makespan.
+#[test]
+fn duplicate_pending_step_is_rejected_as_corrupt() {
+    let cfg = SimConfig::default();
+    let u64_at = |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().unwrap());
+    for w in &small_suite(1)[..3] {
+        assert_eq!(w.app.threads.len(), 1, "{}: one thread, one step", w.name);
+        for placement in [Placement::Hardware, Placement::Software] {
+            let name = format!("{}/{placement:?}", w.name);
+            let design = synthesize(&w.app, &Platform::default(), &[placement]).unwrap();
+            let half = Cycle(simulate(&design, &cfg).unwrap().makespan.0 / 2);
+            let mut sim = Sim::new(&design, &cfg).unwrap();
+            assert!(
+                sim.run_until(half).unwrap(),
+                "{name}: finished before the cut"
+            );
+            let image = sim.snapshot();
+            let (fingerprint, payload) =
+                svmsyn_snap::read_image(image.as_bytes(), SNAPSHOT_VERSION).unwrap();
+            // The payload ends with `next_step_seq`, the step count, and one
+            // `(at, seq, thread)` entry of 8 + 8 + 4 bytes.
+            let len = payload.len();
+            assert_eq!(u64_at(payload, len - 28), 1, "{name}: pending-step count");
+            let next_seq = u64_at(payload, len - 36);
+            let entry = &payload[len - 20..];
+            let seq = u64_at(entry, 8);
+            for dup_seq in [seq, seq - 1] {
+                assert!(dup_seq < next_seq, "{name}: seq {dup_seq} must stay valid");
+                let mut forged = payload.to_vec();
+                forged[len - 28..len - 20].copy_from_slice(&2u64.to_le_bytes());
+                forged.extend_from_slice(&entry[..8]);
+                forged.extend_from_slice(&dup_seq.to_le_bytes());
+                forged.extend_from_slice(&entry[16..]);
+                let forged = Checkpoint::from_bytes(svmsyn_snap::write_image(
+                    SNAPSHOT_VERSION,
+                    fingerprint,
+                    &forged,
+                ));
+                let err = Sim::restore(&design, &cfg, &forged).unwrap_err();
+                assert!(
+                    matches!(err, SimError::Snapshot(SnapError::Corrupt(_))),
+                    "{name}: duplicate step with seq {dup_seq}: got {err:?}"
+                );
+            }
+        }
+    }
 }
 
 #[test]
