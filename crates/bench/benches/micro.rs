@@ -478,7 +478,6 @@ fn bench_dse_store_warm_vs_cold() -> (f64, f64) {
             ..SimConfig::default()
         },
         threads: 1,
-        ..DseConfig::default()
     };
     let root = std::env::temp_dir().join(format!("svmsyn-bench-store-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);

@@ -1,20 +1,19 @@
-//! Host-core budgeting shared by every component that multiplies
-//! parallelism: the sweep service's worker pool, the DSE evaluator's
-//! thread count, and the sharded simulation engine all draw from the same
-//! physical cores. One simulation configured with `shards = S` holds `S`
-//! host threads for the whole of each `ShardedSim::run` call: the caller's
-//! thread runs shard 0 and the barriers, and `S − 1` crew workers run the
-//! other shards, parked between windows (they spin briefly before
-//! parking, so they cost a core while the run is busy). A pool of `W`
+//! Host-core budgeting for the DSE evaluator, whose worker pool runs
+//! simulations that may themselves be sharded: the pool and the sharded
+//! simulation engine draw from the same physical cores. One simulation
+//! configured with `shards = S` holds `S` host threads for the whole of
+//! each `ShardedSim::run` call: the caller's thread runs shard 0 and the
+//! barriers, and `S − 1` crew workers run the other shards, parked between
+//! windows (they spin briefly before parking, so they cost a core while
+//! the run is busy). A pool of `W`
 //! workers each running an `S`-shard simulation therefore wants
 //! `W × S <= host_cores()` — [`worker_budget`] computes the largest `W`
 //! that fits.
 //!
-//! [`map_ordered`] is the one worker pool of both sweep layers: the DSE
-//! evaluator maps its uncached candidates through it and the sweep service
-//! maps its jobs. Results come back in item order whatever the thread
-//! timing, and each item's panic is caught on its own, so one broken item
-//! costs only its own result.
+//! [`map_ordered`] is that worker pool: the DSE evaluator maps its uncached
+//! candidates through it. Results come back in item order whatever the
+//! thread timing, and each item's panic is caught on its own, so one broken
+//! item costs only its own result.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -35,8 +34,8 @@ pub fn host_cores() -> usize {
 ///   at least one — the pool and the per-simulation shards together
 ///   saturate the host without oversubscribing it.
 /// * `requested > 0` with `shards <= 1`: honored verbatim — serial
-///   simulations cost one core each and explicit pool sizes are part of
-///   existing callers' contracts.
+///   simulations cost one core each, and an explicit pool size
+///   (`DseConfig::threads`) is the caller's contract.
 /// * `requested > 0` with `shards > 1`: clamped so
 ///   `workers × shards <= host_cores()` (but never below one worker) —
 ///   an explicit pool size tuned for serial runs would oversubscribe

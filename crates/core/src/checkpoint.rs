@@ -1,12 +1,11 @@
-//! Deterministic checkpoint artifacts and the tools built on them: the
+//! Deterministic checkpoint artifacts and the tool built on them: the
 //! on-disk snapshot container ([`Checkpoint`]), the design fingerprint that
-//! guards restores, the snapshot-fork pressure sweep ([`fork_swap_sweep`]),
-//! and the divergence bisector ([`bisect_divergence`]).
+//! guards restores, and the divergence bisector ([`bisect_divergence`]).
 //!
 //! The snapshot payload itself is assembled and parsed by [`Sim::snapshot`]
 //! and [`Sim::restore`] in [`crate::sim`] — the only module that can see the
 //! simulator's private state. This module owns everything *around* the
-//! payload: container I/O, identity, and the higher-level workflows.
+//! payload: container I/O, identity, and bisection.
 
 use std::fmt;
 use std::io;
@@ -14,10 +13,8 @@ use std::path::Path;
 
 use svmsyn_sim::Cycle;
 
-use crate::app::Application;
-use crate::flow::{synthesize, Placement, SynthesisError, SystemDesign};
-use crate::platform::{Platform, PressurePoint};
-use crate::sim::{simulate, RunProgress, Sim, SimConfig, SimError, SimOutcome, SNAPSHOT_VERSION};
+use crate::flow::SystemDesign;
+use crate::sim::{Sim, SimConfig, SimError, SNAPSHOT_VERSION};
 
 /// A serialized simulator snapshot: the complete on-disk image (magic,
 /// version, design fingerprint, payload, checksum trailer).
@@ -87,9 +84,10 @@ impl fmt::Debug for Checkpoint {
 /// the placement vector, and the timing-relevant platform axes (fabric,
 /// memory system, HLS, MEMIF). The OS config is deliberately *excluded* —
 /// its costs and policies are re-read from the design at restore, which is
-/// exactly what lets [`fork_swap_sweep`] resume one warmed snapshot under
-/// many pressure variants. `synthesis_seconds` (host wall time) and the
-/// platform name are cosmetic and excluded too.
+/// exactly what lets [`bisect_divergence`] restore one checkpoint under two
+/// OS variants (say, two swap latencies) and find where they part.
+/// `synthesis_seconds` (host wall time) and the platform name are cosmetic
+/// and excluded too.
 pub(crate) fn design_fingerprint(design: &SystemDesign) -> u64 {
     use std::fmt::Write as _;
     let p = &design.platform;
@@ -107,117 +105,6 @@ pub(crate) fn design_fingerprint(design: &SystemDesign) -> u64 {
         p.max_hw_threads
     );
     svmsyn_snap::fnv1a(s.as_bytes())
-}
-
-/// Why a snapshot-forked sweep failed.
-#[derive(Debug)]
-pub enum ForkError {
-    /// A variant platform failed synthesis.
-    Synthesis(SynthesisError),
-    /// The warmup run or a forked arm failed.
-    Sim(SimError),
-}
-
-impl fmt::Display for ForkError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ForkError::Synthesis(e) => write!(f, "variant synthesis failed: {e}"),
-            ForkError::Sim(e) => write!(f, "forked simulation failed: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for ForkError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            ForkError::Synthesis(e) => Some(e),
-            ForkError::Sim(e) => Some(e),
-        }
-    }
-}
-
-impl From<SynthesisError> for ForkError {
-    fn from(e: SynthesisError) -> Self {
-        ForkError::Synthesis(e)
-    }
-}
-
-impl From<SimError> for ForkError {
-    fn from(e: SimError) -> Self {
-        ForkError::Sim(e)
-    }
-}
-
-/// One arm of a snapshot-forked pressure sweep.
-#[derive(Debug)]
-pub struct ForkArm {
-    /// The swap latency this arm ran under.
-    pub swap_latency: u64,
-    /// The arm's final outcome.
-    pub outcome: SimOutcome,
-}
-
-/// Snapshot-fork DSE warmup: simulate the design once under `base` until
-/// `warmup_events` scheduler events, snapshot, then fork one resumed run
-/// per swap-latency variant — the same operating points a
-/// [`crate::dse::DseConfig::pressure_axis`] sweep would cold-start, minus
-/// the shared prefix each would re-simulate.
-///
-/// Soundness: swap-in/swap-out costs are config-side and re-read from the
-/// design at restore, so a shared prefix is valid only while it contains no
-/// reclaim activity (the first swap would have been timed differently per
-/// arm). If reclaim starts before the warmup pause — or the run completes
-/// during warmup — every arm silently cold-starts instead; forked and cold
-/// arms produce bit-identical outcomes either way, so callers cannot tell
-/// except by speed.
-///
-/// # Errors
-///
-/// Returns [`ForkError`] when a variant fails synthesis or any run fails.
-pub fn fork_swap_sweep(
-    app: &Application,
-    base: &Platform,
-    placements: &[Placement],
-    swap_latencies: &[u64],
-    cfg: &SimConfig,
-    warmup_events: u64,
-) -> Result<Vec<ForkArm>, ForkError> {
-    let base_design = synthesize(app, base, placements)?;
-    let warm_cfg = SimConfig {
-        checkpoint_every: warmup_events.max(1),
-        ..*cfg
-    };
-    let mut warm_sim = Sim::new(&base_design, &warm_cfg)?;
-    let warm = match warm_sim.run()? {
-        RunProgress::Paused(cp) if warm_sim.os().reclaims() == 0 => Some(cp),
-        _ => None,
-    };
-
-    let mut arms = Vec::with_capacity(swap_latencies.len());
-    for &lat in swap_latencies {
-        let variant = base.with_pressure(PressurePoint {
-            swap_latency: lat,
-            ..base.pressure_point()
-        });
-        let design = synthesize(app, &variant, placements)?;
-        let outcome = match &warm {
-            Some(cp) => {
-                let run_cfg = SimConfig {
-                    checkpoint_every: 0,
-                    ..*cfg
-                };
-                let mut fork = Sim::restore(&design, &run_cfg, cp)?;
-                while !matches!(fork.run()?, RunProgress::Complete) {}
-                fork.finish()?
-            }
-            None => simulate(&design, cfg)?,
-        };
-        arms.push(ForkArm {
-            swap_latency: lat,
-            outcome,
-        });
-    }
-    Ok(arms)
 }
 
 /// One side of a divergence bisection: a checkpoint plus the design and

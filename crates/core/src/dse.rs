@@ -10,9 +10,9 @@
 //! Synthesis inside a sweep draws hardware kernels from a compile cache
 //! that lives as long as one [`explore`] or [`explore_with_store`] call:
 //! each thread's kernel is compiled the first time a placement maps it to
-//! hardware, and every later placement, under every variant, reuses that
-//! compilation. HLS compilation is deterministic, so a cached kernel is the
-//! one the placement would have compiled itself.
+//! hardware, and every later placement reuses that compilation. HLS
+//! compilation is deterministic, so a cached kernel is the one the
+//! placement would have compiled itself.
 //!
 //! Evaluation is the cost center — every point is a full-system simulation —
 //! so every search hands the evaluator batches of independent candidates
@@ -29,26 +29,24 @@
 //! persistent content-addressed [`ResultStore`] handle passed to
 //! [`explore_with_store`]. A memo miss probes the store before simulating,
 //! and every fresh evaluation is published back, so identical evaluation
-//! requests — across processes, sweeps, and tenants — pay the simulation
-//! cost once. Store keys are canonical snap encodings of
-//! `(app fingerprint, platform fingerprint, variant, placements)` hashed
-//! with fnv1a-64 (see [`crate::fingerprint`]); panicking candidates are
-//! never published, so a transient environment failure cannot poison the
-//! shared store.
+//! requests — across processes and sweeps — pay the simulation cost once.
+//! Store keys are canonical snap encodings of
+//! `(app fingerprint, platform fingerprint, sim options, placements)`
+//! hashed with fnv1a-64 (see [`crate::fingerprint`]); panicking candidates
+//! are never published, so a transient environment failure cannot poison
+//! the shared store.
 
 use std::collections::{HashMap, HashSet};
 
-use svmsyn_mem::FabricConfig;
 use svmsyn_sim::{Cycle, FabricResources, Xoshiro256ss};
 use svmsyn_snap::{SnapError, SnapReader, SnapWriter};
 use svmsyn_store::ResultStore;
-use svmsyn_vm::walker::WalkerConfig;
 
 use crate::app::Application;
 use crate::budget::{map_ordered, worker_budget};
 use crate::fingerprint::{app_fingerprint, platform_fingerprint};
 use crate::flow::{synthesize_with, KernelCache, Placement};
-use crate::platform::{Platform, PressurePoint};
+use crate::platform::Platform;
 use crate::sim::{simulate, SimConfig};
 
 /// The search strategy.
@@ -78,39 +76,15 @@ pub struct DseConfig {
     /// Worker threads for batch candidate evaluation; `0` means one per
     /// available core. `1` forces the serial sweep.
     pub threads: usize,
-    /// Walk-cache geometries to sweep as an extra design axis: the placement
-    /// search runs once per variant (each pays its own fabric cost and walks
-    /// with its own cache). Empty means the platform's configured walker
-    /// only.
-    pub walker_axis: Vec<WalkerConfig>,
-    /// Memory-fabric configurations (outstanding window depth, MSHR count)
-    /// to sweep as a design axis, crossed with `walker_axis`. Empty means
-    /// the platform's configured fabric only.
-    pub fabric_axis: Vec<FabricConfig>,
-    /// MEMIF outstanding-miss depths (hit-under-miss windows) to sweep as
-    /// a design axis, crossed with `fabric_axis` and `walker_axis` — depth
-    /// `1` is the blocking interface, deeper windows let a hardware thread
-    /// run past its misses. Empty means the platform's configured depth
-    /// only.
-    pub memif_axis: Vec<u32>,
-    /// Memory-pressure operating points (frame budget, allocation policy,
-    /// swap latency) to sweep as a design axis, crossed with every other
-    /// axis. Empty means the platform's configured pressure point only.
-    pub pressure_axis: Vec<PressurePoint>,
 }
 
 impl Default for DseConfig {
-    /// Greedy search with default simulation options, auto-parallel, no
-    /// walk-cache sweep.
+    /// Greedy search with default simulation options, auto-parallel.
     fn default() -> Self {
         DseConfig {
             method: DseMethod::Greedy,
             sim: SimConfig::default(),
             threads: 0,
-            walker_axis: Vec::new(),
-            fabric_axis: Vec::new(),
-            memif_axis: Vec::new(),
-            pressure_axis: Vec::new(),
         }
     }
 }
@@ -120,14 +94,6 @@ impl Default for DseConfig {
 pub struct DsePoint {
     /// The placement vector.
     pub placements: Vec<Placement>,
-    /// The per-thread walk-cache geometry this point was evaluated with.
-    pub walker: WalkerConfig,
-    /// The memory-fabric configuration this point was evaluated with.
-    pub fabric: FabricConfig,
-    /// The MEMIF outstanding-miss depth this point was evaluated with.
-    pub miss_depth: u32,
-    /// The memory-pressure operating point this point was evaluated with.
-    pub pressure: PressurePoint,
     /// Fabric usage of the design.
     pub resources: FabricResources,
     /// Simulated makespan.
@@ -201,25 +167,6 @@ impl std::fmt::Display for DseError {
 
 impl std::error::Error for DseError {}
 
-/// The design point of `placements` under `variant`, whose own axis values
-/// it records.
-fn design_point(
-    variant: &Platform,
-    placements: &[Placement],
-    resources: FabricResources,
-    makespan: Cycle,
-) -> DsePoint {
-    DsePoint {
-        placements: placements.to_vec(),
-        walker: variant.memif.mmu.walker,
-        fabric: variant.mem.fabric.clone(),
-        miss_depth: variant.memif.miss_depth,
-        pressure: variant.pressure_point(),
-        resources,
-        makespan,
-    }
-}
-
 fn evaluate(
     app: &Application,
     platform: &Platform,
@@ -229,78 +176,64 @@ fn evaluate(
 ) -> Option<DsePoint> {
     let design = synthesize_with(app, platform, placements, kernels).ok()?;
     let outcome = simulate(&design, sim).ok()?;
-    Some(design_point(
-        platform,
-        placements,
-        design.total_resources,
-        outcome.makespan,
-    ))
+    Some(DsePoint {
+        placements: placements.to_vec(),
+        resources: design.total_resources,
+        makespan: outcome.makespan,
+    })
 }
 
 /// Version tag of the store key layout. Bumped whenever the key encoding
 /// below changes shape, so old records simply stop matching instead of
 /// being misinterpreted.
-const STORE_KEY_VERSION: u32 = 2;
+const STORE_KEY_VERSION: u32 = 3;
 
-/// The canonical store-key prefix for one `(app, platform variant, sim)`
+/// The canonical store-key prefix for one `(app, platform, sim)`
 /// combination: everything but the placement vector. Appending the
 /// placements (one byte each) completes a key.
 ///
-/// The platform fingerprint already covers the walker/fabric/memif/pressure
-/// variant (variants are materialized as whole platforms), but the variant
-/// axes are also encoded explicitly so the key is self-describing — the key
-/// layout is `(app, platform, variant, placements)` exactly as the store
-/// contract states, not an implementation coincidence of the fingerprint.
+/// The platform enters through [`platform_fingerprint`] alone, which
+/// hashes every parameter that affects synthesis or simulation.
 ///
 /// `SimConfig::checkpoint_every` is deliberately excluded: periodic
 /// checkpoint pauses are transparent to results (`simulate` resumes
 /// bit-identically — the checkpoint/restore suite proves it), so two runs
 /// differing only in pause cadence must share records.
-fn store_key_prefix(app_fp: u64, variant: &Platform, sim: &SimConfig) -> Vec<u8> {
+fn store_key_prefix(app_fp: u64, platform: &Platform, sim: &SimConfig) -> Vec<u8> {
     let mut w = SnapWriter::new();
     w.put_u32(STORE_KEY_VERSION);
     w.put_u64(app_fp);
-    w.put_u64(platform_fingerprint(variant));
-    // Variant axes, explicit.
-    w.put_usize(variant.memif.mmu.walker.l1_entries);
-    w.put_usize(variant.memif.mmu.walker.l2_entries);
-    w.put_u64(variant.mem.fabric.width_bytes);
-    w.put_u64(variant.mem.fabric.arb_cycles);
-    w.put_u32(variant.mem.fabric.window);
-    w.put_u32(variant.mem.fabric.mshrs);
-    w.put_u64(variant.mem.fabric.mshr_line_bytes);
-    w.put_u32(variant.memif.miss_depth);
-    let pressure = variant.pressure_point();
-    match pressure.frame_budget {
-        None => w.put_u8(0),
-        Some(n) => {
-            w.put_u8(1);
-            w.put_u64(n);
-        }
-    }
-    w.put_u8(match pressure.policy {
-        svmsyn_os::AllocPolicy::Lazy => 0,
-        svmsyn_os::AllocPolicy::Eager => 1,
-    });
-    w.put_u64(pressure.swap_latency);
+    w.put_u64(platform_fingerprint(platform));
     // Simulation options that can change results.
     w.put_u64(sim.quantum);
     w.put_u64(sim.max_events);
     w.put_u32(sim.fault_retry_budget);
     w.put_u64(sim.thrash_window);
     w.put_u32(sim.thrash_fault_limit);
-    // The sharded engine produces identical makespans (the conformance
-    // suite proves it), but error-path edges — event-limit trip points,
-    // thrash attribution — depend on the shard plan, so records are keyed
-    // per plan rather than risking a stale infeasibility verdict.
+    // The shard plan can change simulated time: a fault serviced at a
+    // barrier is delivered into the next window, so sharded makespans
+    // differ from the serial engine's (1,638,060 against 370,668 cycles at
+    // `shard_window = 200_000`; ARCHITECTURE.md, "Conservative-exact
+    // rules"). Records are therefore keyed per plan.
     w.put_u32(sim.shards);
     w.put_u64(sim.shard_window);
     w.into_bytes()
 }
 
+/// The full store key of one candidate: the sweep's key prefix plus one
+/// byte per placement.
+fn store_key(prefix: &[u8], placements: &[Placement]) -> Vec<u8> {
+    let mut key = prefix.to_vec();
+    key.extend(placements.iter().map(|p| match p {
+        Placement::Software => 0u8,
+        Placement::Hardware => 1,
+    }));
+    key
+}
+
 /// Encodes an evaluation outcome for the store. Only what the key does not
 /// already determine is stored: feasibility, resource usage, makespan. The
-/// full [`DsePoint`] is reconstructed from the key's context on read.
+/// full [`DsePoint`] is reconstructed from the key's placements on read.
 fn encode_store_value(point: &Option<DsePoint>) -> Vec<u8> {
     let mut w = SnapWriter::new();
     match point {
@@ -317,12 +250,11 @@ fn encode_store_value(point: &Option<DsePoint>) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Decodes a store value back into an evaluation outcome, reattaching the
-/// variant context the key encodes. A malformed value yields `Err` and the
-/// caller treats the probe as a miss (re-simulate + republish heals it).
+/// Decodes a store value back into an evaluation outcome for `placements`.
+/// A malformed value yields `Err` and the caller treats the probe as a
+/// miss (re-simulate + republish heals it).
 fn decode_store_value(
     bytes: &[u8],
-    variant: &Platform,
     placements: &[Placement],
 ) -> Result<Option<DsePoint>, SnapError> {
     let mut r = SnapReader::new(bytes);
@@ -335,8 +267,11 @@ fn decode_store_value(
                 dsp: r.take_u64()?,
                 bram36: r.take_u64()?,
             };
-            let makespan = Cycle(r.take_u64()?);
-            Ok(Some(design_point(variant, placements, resources, makespan)))
+            Ok(Some(DsePoint {
+                placements: placements.to_vec(),
+                resources,
+                makespan: Cycle(r.take_u64()?),
+            }))
         }
         _ => Err(SnapError::Corrupt("store value tag")),
     }
@@ -366,29 +301,18 @@ fn pareto_front(mut feasible: Vec<DsePoint>) -> Vec<DsePoint> {
 }
 
 /// The memoizing, batching evaluation engine behind every search method.
-///
-/// The variant axes add a second memo dimension: one memo table per
-/// variant, so revisits of a placement under the same variant never
-/// re-simulate while distinct variants stay distinct points.
 struct Evaluator<'a> {
     app: &'a Application,
-    /// One platform per walk-cache variant, in axis order.
-    variants: Vec<Platform>,
-    /// Compiled kernels shared by every candidate of every variant: the
-    /// variant axes leave `Platform::hls` untouched, so one compile per
-    /// thread serves the whole sweep.
+    platform: &'a Platform,
+    /// Compiled kernels shared by every candidate of the sweep.
     kernels: KernelCache,
-    /// Index into `variants` the search is currently exploring.
-    current: usize,
     sim: SimConfig,
     workers: usize,
-    /// One memo table per walk-cache variant, keyed by placement vector.
-    memo: Vec<HashMap<Vec<Placement>, Option<DsePoint>>>,
-    /// The persistent second-level cache, if configured.
-    store: Option<&'a ResultStore>,
-    /// Per-variant canonical key prefix (empty when no store): key =
-    /// prefix ++ one byte per placement.
-    key_prefix: Vec<Vec<u8>>,
+    /// Outcomes keyed by placement vector.
+    memo: HashMap<Vec<Placement>, Option<DsePoint>>,
+    /// The persistent second-level cache, if configured, with the sweep's
+    /// canonical key prefix.
+    store: Option<(&'a ResultStore, Vec<u8>)>,
     evaluated: usize,
     cache_hits: usize,
     store_hits: usize,
@@ -408,34 +332,18 @@ impl<'a> Evaluator<'a> {
         // for its whole run, so the worker pool shrinks to keep
         // `workers × shards` within the host budget.
         let workers = worker_budget(cfg.threads, cfg.sim.shards as usize);
-        // The variant list is the cross product of the axes, walker
-        // outermost; an empty axis contributes the platform's own value.
-        let variants = cross(vec![platform.clone()], &cfg.walker_axis, |p, w| {
-            p.with_walker(*w)
+        let store = store.map(|s| {
+            let prefix = store_key_prefix(app_fingerprint(app), platform, &cfg.sim);
+            (s, prefix)
         });
-        let variants = cross(variants, &cfg.fabric_axis, |p, f| p.with_fabric(f.clone()));
-        let variants = cross(variants, &cfg.memif_axis, |p, &d| p.with_miss_depth(d));
-        let variants = cross(variants, &cfg.pressure_axis, |p, &pt| p.with_pressure(pt));
-        let memo = vec![HashMap::new(); variants.len()];
-        let key_prefix = if store.is_some() {
-            let app_fp = app_fingerprint(app);
-            variants
-                .iter()
-                .map(|v| store_key_prefix(app_fp, v, &cfg.sim))
-                .collect()
-        } else {
-            Vec::new()
-        };
         Evaluator {
             app,
-            variants,
+            platform,
             kernels: KernelCache::new(app, platform.hls),
-            current: 0,
             sim: cfg.sim,
             workers,
-            memo,
+            memo: HashMap::new(),
             store,
-            key_prefix,
             evaluated: 0,
             cache_hits: 0,
             store_hits: 0,
@@ -444,31 +352,14 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// The full store key for one candidate under one variant.
-    fn store_key(&self, variant: usize, placements: &[Placement]) -> Vec<u8> {
-        let mut key = self.key_prefix[variant].clone();
-        for p in placements {
-            key.push(match p {
-                Placement::Software => 0,
-                Placement::Hardware => 1,
-            });
-        }
-        key
-    }
-
     /// Probes the store for a memo-missed candidate. `Some(outcome)` is a
     /// store hit (outcome may still be "infeasible"); `None` means the
     /// caller must simulate. Malformed values read back as misses.
-    fn store_probe(
-        &mut self,
-        variant: usize,
-        placements: &[Placement],
-    ) -> Option<Option<DsePoint>> {
-        let store = self.store?;
-        let key = self.store_key(variant, placements);
+    fn store_probe(&mut self, placements: &[Placement]) -> Option<Option<DsePoint>> {
+        let (store, prefix) = self.store.as_ref()?;
         let outcome = store
-            .get(&key)
-            .and_then(|v| decode_store_value(&v, &self.variants[variant], placements).ok());
+            .get(&store_key(prefix, placements))
+            .and_then(|v| decode_store_value(&v, placements).ok());
         match outcome {
             Some(point) => {
                 self.store_hits += 1;
@@ -485,10 +376,9 @@ impl<'a> Evaluator<'a> {
     /// permission error costs persistence, not the sweep. Panicked
     /// candidates never reach here — a transient crash must not be
     /// republished to every future consumer as "infeasible".
-    fn store_publish(&self, variant: usize, placements: &[Placement], point: &Option<DsePoint>) {
-        if let Some(store) = self.store {
-            let key = self.store_key(variant, placements);
-            let _ = store.put(&key, &encode_store_value(point));
+    fn store_publish(&self, placements: &[Placement], point: &Option<DsePoint>) {
+        if let Some((store, prefix)) = &self.store {
+            let _ = store.put(&store_key(prefix, placements), &encode_store_value(point));
         }
     }
 
@@ -497,26 +387,25 @@ impl<'a> Evaluator<'a> {
         self.eval_batch(&[placements.to_vec()]).pop().flatten()
     }
 
-    /// Evaluates a batch of independent candidates under the current
-    /// variant and returns their outcomes in candidate order. A candidate
-    /// is answered by the memo, then by the store; the distinct rest are
-    /// simulated on the worker pool, and each outcome is published (or its
-    /// panic recorded and memoized as infeasible) on this thread, in
-    /// candidate order — so callers observe exactly the serial sweep.
-    /// Store probes stay on this thread too: they are cheap disk reads,
-    /// and only simulations are worth a worker.
+    /// Evaluates a batch of independent candidates and returns their
+    /// outcomes in candidate order. A candidate is answered by the memo,
+    /// then by the store; the distinct rest are simulated on the worker
+    /// pool, and each outcome is published (or its panic recorded and
+    /// memoized as infeasible) on this thread, in candidate order — so
+    /// callers observe exactly the serial sweep. Store probes stay on this
+    /// thread too: they are cheap disk reads, and only simulations are
+    /// worth a worker.
     fn eval_batch(&mut self, candidates: &[Vec<Placement>]) -> Vec<Option<DsePoint>> {
         self.evaluated += candidates.len();
-        let variant = self.current;
         let mut seen: HashSet<&Vec<Placement>> = HashSet::new();
         let mut misses: Vec<&Vec<Placement>> = Vec::new();
         for c in candidates {
             // A repeat within the batch counts as a memo hit, as it will
             // be one by the time its result is read.
-            if self.memo[variant].contains_key(c) || !seen.insert(c) {
+            if self.memo.contains_key(c) || !seen.insert(c) {
                 self.cache_hits += 1;
-            } else if let Some(stored) = self.store_probe(variant, c) {
-                self.memo[variant].insert(c.clone(), stored);
+            } else if let Some(stored) = self.store_probe(c) {
+                self.memo.insert(c.clone(), stored);
             } else {
                 misses.push(c);
             }
@@ -524,15 +413,14 @@ impl<'a> Evaluator<'a> {
         // An unwound evaluation leaves nothing the sweep reads afterwards:
         // every input but the kernel cache is borrowed immutably, and a
         // compile that panics leaves its cache slot empty.
-        let (app, platform, sim, kernels) =
-            (self.app, &self.variants[variant], &self.sim, &self.kernels);
+        let (app, platform, sim, kernels) = (self.app, self.platform, &self.sim, &self.kernels);
         let outcomes = map_ordered(&misses, self.workers, |c| {
             evaluate(app, platform, c, sim, kernels)
         });
         for (c, outcome) in misses.into_iter().zip(outcomes) {
             let point = match outcome {
                 Ok(point) => {
-                    self.store_publish(variant, c, &point);
+                    self.store_publish(c, &point);
                     point
                 }
                 Err(message) => {
@@ -543,29 +431,10 @@ impl<'a> Evaluator<'a> {
                     None
                 }
             };
-            self.memo[variant].insert(c.clone(), point);
+            self.memo.insert(c.clone(), point);
         }
-        candidates
-            .iter()
-            .map(|c| self.memo[variant][c].clone())
-            .collect()
+        candidates.iter().map(|c| self.memo[c].clone()).collect()
     }
-}
-
-/// Crosses every platform with every value of one design axis (`with`
-/// applies a value), platform-major. An empty axis keeps the platforms.
-fn cross<A>(
-    platforms: Vec<Platform>,
-    axis: &[A],
-    with: impl Fn(&Platform, &A) -> Platform,
-) -> Vec<Platform> {
-    if axis.is_empty() {
-        return platforms;
-    }
-    platforms
-        .iter()
-        .flat_map(|p| axis.iter().map(|a| with(p, a)))
-        .collect()
 }
 
 /// Explores the placement space and returns the best feasible design point,
@@ -601,112 +470,104 @@ pub fn explore_with_store(
     let mut ev = Evaluator::new(app, platform, cfg, store);
     let mut feasible: Vec<DsePoint> = Vec::new();
 
-    // The walk-cache axis: run the placement search once per walker
-    // geometry. Each variant pays its own fabric cost and simulates with
-    // its own walk caches, so its points land on the shared Pareto front.
-    for variant in 0..ev.variants.len() {
-        ev.current = variant;
-        match cfg.method {
-            DseMethod::Exhaustive => {
-                if eligible.len() > 12 {
-                    return Err(DseError::TooManyEligible {
-                        eligible: eligible.len(),
-                    });
-                }
-                let candidates: Vec<Vec<Placement>> = (0..(1u64 << eligible.len()))
-                    .map(|mask| placements_from_mask(app, &eligible, mask))
+    match cfg.method {
+        DseMethod::Exhaustive => {
+            if eligible.len() > 12 {
+                return Err(DseError::TooManyEligible {
+                    eligible: eligible.len(),
+                });
+            }
+            let candidates: Vec<Vec<Placement>> = (0..(1u64 << eligible.len()))
+                .map(|mask| placements_from_mask(app, &eligible, mask))
+                .collect();
+            feasible.extend(ev.eval_batch(&candidates).into_iter().flatten());
+        }
+        DseMethod::Greedy => {
+            let mut current = placements_from_mask(app, &eligible, 0);
+            let mut best = ev.eval_one(&current);
+            if let Some(p) = &best {
+                feasible.push(p.clone());
+            }
+            loop {
+                // One greedy round: all single-thread promotions are
+                // independent, so evaluate them as one parallel batch.
+                let moves: Vec<usize> = eligible
+                    .iter()
+                    .copied()
+                    .filter(|&t| current[t] != Placement::Hardware)
                     .collect();
-                for point in ev.eval_batch(&candidates).into_iter().flatten() {
-                    feasible.push(point);
-                }
-            }
-            DseMethod::Greedy => {
-                let mut current = placements_from_mask(app, &eligible, 0);
-                let mut best = ev.eval_one(&current);
-                if let Some(p) = &best {
-                    feasible.push(p.clone());
-                }
-                loop {
-                    // One greedy round: all single-thread promotions are
-                    // independent, so evaluate them as one parallel batch.
-                    let moves: Vec<usize> = eligible
-                        .iter()
-                        .copied()
-                        .filter(|&t| current[t] != Placement::Hardware)
-                        .collect();
-                    let candidates: Vec<Vec<Placement>> = moves
-                        .iter()
-                        .map(|&t| {
-                            let mut cand = current.clone();
-                            cand[t] = Placement::Hardware;
-                            cand
-                        })
-                        .collect();
-                    let mut improvement: Option<(usize, DsePoint)> = None;
-                    for (&t, point) in moves.iter().zip(ev.eval_batch(&candidates)) {
-                        if let Some(point) = point {
-                            feasible.push(point.clone());
-                            let better = match (&best, &improvement) {
-                                (Some(b), Some((_, cur))) => {
-                                    point.makespan < b.makespan && point.makespan < cur.makespan
-                                }
-                                (Some(b), None) => point.makespan < b.makespan,
-                                (None, Some((_, cur))) => point.makespan < cur.makespan,
-                                (None, None) => true,
-                            };
-                            if better {
-                                improvement = Some((t, point));
-                            }
-                        }
-                    }
-                    match improvement {
-                        Some((t, point)) => {
-                            current[t] = Placement::Hardware;
-                            best = Some(point);
-                        }
-                        None => break,
-                    }
-                }
-            }
-            DseMethod::Anneal { iters, seed } => {
-                // Annealing is inherently sequential (each step depends on the
-                // previous acceptance), but the memo table still removes every
-                // revisit of an already-simulated placement.
-                let mut rng = Xoshiro256ss::new(seed);
-                let mut current = placements_from_mask(app, &eligible, 0);
-                let mut current_point = ev.eval_one(&current);
-                if let Some(p) = &current_point {
-                    feasible.push(p.clone());
-                }
-                for step in 0..iters {
-                    if eligible.is_empty() {
-                        break;
-                    }
-                    let t = eligible[rng.range(eligible.len() as u64) as usize];
-                    let mut cand = current.clone();
-                    cand[t] = match cand[t] {
-                        Placement::Hardware => Placement::Software,
-                        Placement::Software => Placement::Hardware,
-                    };
-                    if let Some(point) = ev.eval_one(&cand) {
+                let candidates: Vec<Vec<Placement>> = moves
+                    .iter()
+                    .map(|&t| {
+                        let mut cand = current.clone();
+                        cand[t] = Placement::Hardware;
+                        cand
+                    })
+                    .collect();
+                let mut improvement: Option<(usize, DsePoint)> = None;
+                for (&t, point) in moves.iter().zip(ev.eval_batch(&candidates)) {
+                    if let Some(point) = point {
                         feasible.push(point.clone());
-                        let temperature = 1.0 - (step as f64 / iters.max(1) as f64);
-                        let accept = match &current_point {
-                            None => true,
-                            Some(cur) => {
-                                if point.makespan <= cur.makespan {
-                                    true
-                                } else {
-                                    let delta = (point.makespan.0 - cur.makespan.0) as f64
-                                        / cur.makespan.0.max(1) as f64;
-                                    rng.chance((-delta / temperature.max(1e-3)).exp() * 0.5)
-                                }
+                        let better = match (&best, &improvement) {
+                            (Some(b), Some((_, cur))) => {
+                                point.makespan < b.makespan && point.makespan < cur.makespan
                             }
+                            (Some(b), None) => point.makespan < b.makespan,
+                            (None, Some((_, cur))) => point.makespan < cur.makespan,
+                            (None, None) => true,
                         };
-                        if accept {
-                            current = cand;
-                            current_point = Some(point);
+                        if better {
+                            improvement = Some((t, point));
                         }
+                    }
+                }
+                match improvement {
+                    Some((t, point)) => {
+                        current[t] = Placement::Hardware;
+                        best = Some(point);
+                    }
+                    None => break,
+                }
+            }
+        }
+        DseMethod::Anneal { iters, seed } => {
+            // Annealing is inherently sequential (each step depends on the
+            // previous acceptance), but the memo table still removes every
+            // revisit of an already-simulated placement.
+            let mut rng = Xoshiro256ss::new(seed);
+            let mut current = placements_from_mask(app, &eligible, 0);
+            let mut current_point = ev.eval_one(&current);
+            if let Some(p) = &current_point {
+                feasible.push(p.clone());
+            }
+            for step in 0..iters {
+                if eligible.is_empty() {
+                    break;
+                }
+                let t = eligible[rng.range(eligible.len() as u64) as usize];
+                let mut cand = current.clone();
+                cand[t] = match cand[t] {
+                    Placement::Hardware => Placement::Software,
+                    Placement::Software => Placement::Hardware,
+                };
+                if let Some(point) = ev.eval_one(&cand) {
+                    feasible.push(point.clone());
+                    let temperature = 1.0 - (step as f64 / iters.max(1) as f64);
+                    let accept = match &current_point {
+                        None => true,
+                        Some(cur) => {
+                            if point.makespan <= cur.makespan {
+                                true
+                            } else {
+                                let delta = (point.makespan.0 - cur.makespan.0) as f64
+                                    / cur.makespan.0.max(1) as f64;
+                                rng.chance((-delta / temperature.max(1e-3)).exp() * 0.5)
+                            }
+                        }
+                    };
+                    if accept {
+                        current = cand;
+                        current_point = Some(point);
                     }
                 }
             }
@@ -718,29 +579,18 @@ pub fn explore_with_store(
         .min_by_key(|p| p.makespan)
         .cloned()
         .ok_or(DseError::NoFeasiblePoint)?;
-    // Dedup identical design points before the front (heuristics revisit);
-    // the same placement under a different walk-cache geometry, fabric
-    // configuration, miss depth, or pressure point is a distinct point.
-    let mut unique: Vec<DsePoint> = Vec::new();
-    for p in feasible {
-        if !unique.iter().any(|q| {
-            q.placements == p.placements
-                && q.walker == p.walker
-                && q.fabric == p.fabric
-                && q.miss_depth == p.miss_depth
-                && q.pressure == p.pressure
-        }) {
-            unique.push(p);
-        }
-    }
-    let pareto = pareto_front(unique.clone());
+    // Dedup identical design points before the front (heuristics revisit):
+    // a placement names one point, and its first occurrence stays.
+    let mut seen = HashSet::new();
+    feasible.retain(|p| seen.insert(p.placements.clone()));
+    let pareto = pareto_front(feasible.clone());
     Ok(DseResult {
         best,
         evaluated: ev.evaluated,
         cache_hits: ev.cache_hits,
         store_hits: ev.store_hits,
         store_misses: ev.store_misses,
-        feasible: unique,
+        feasible,
         pareto,
         panics: ev.panics,
     })
@@ -754,6 +604,7 @@ mod tests {
     use std::path::{Path, PathBuf};
     use svmsyn_hls::builder::KernelBuilder;
     use svmsyn_hls::ir::{BinOp, CmpOp, Width};
+    use svmsyn_vm::walker::WalkerConfig;
 
     /// A loop kernel with enough work to benefit from hardware.
     fn work_kernel(name: &str) -> svmsyn_hls::ir::Kernel {
@@ -875,7 +726,6 @@ mod tests {
                 method: DseMethod::Exhaustive,
                 sim: fast_sim(),
                 threads: 1,
-                ..DseConfig::default()
             },
         )
         .unwrap();
@@ -886,7 +736,6 @@ mod tests {
                 method: DseMethod::Exhaustive,
                 sim: fast_sim(),
                 threads: 4,
-                ..DseConfig::default()
             },
         )
         .unwrap();
@@ -955,248 +804,6 @@ mod tests {
     }
 
     #[test]
-    fn walk_cache_axis_explores_every_variant() {
-        use svmsyn_vm::walker::WalkerConfig;
-        let a = app(2, 64);
-        let axis = vec![
-            WalkerConfig::disabled(),
-            WalkerConfig::l1_only(4),
-            WalkerConfig::two_level(4, 16),
-        ];
-        let r = explore(
-            &a,
-            &Platform::default(),
-            &DseConfig {
-                method: DseMethod::Exhaustive,
-                sim: fast_sim(),
-                walker_axis: axis.clone(),
-                ..DseConfig::default()
-            },
-        )
-        .unwrap();
-        // 4 placements x 3 walker variants, every variant represented.
-        assert_eq!(r.evaluated, 12);
-        for w in &axis {
-            assert!(
-                r.feasible.iter().any(|p| p.walker == *w),
-                "axis variant {w:?} missing from feasible set"
-            );
-        }
-        assert!(axis.contains(&r.best.walker));
-        // Same placement, different walker => distinct design points with
-        // different fabric cost for any point that has hardware threads.
-        let all_hw: Vec<_> = r
-            .feasible
-            .iter()
-            .filter(|p| p.placements.iter().all(|pl| *pl == Placement::Hardware))
-            .collect();
-        assert_eq!(all_hw.len(), 3);
-        assert!(all_hw[0].resources.lut < all_hw[2].resources.lut);
-    }
-
-    #[test]
-    fn walk_cache_axis_memoizes_per_variant() {
-        use svmsyn_vm::walker::WalkerConfig;
-        let a = app(2, 64);
-        let r = explore(
-            &a,
-            &Platform::default(),
-            &DseConfig {
-                method: DseMethod::Anneal { iters: 12, seed: 3 },
-                sim: fast_sim(),
-                walker_axis: vec![WalkerConfig::disabled(), WalkerConfig::two_level(4, 8)],
-                ..DseConfig::default()
-            },
-        )
-        .unwrap();
-        // 2 variants x 4 distinct placements: everything beyond 8 unique
-        // simulations must come from the memo table.
-        assert!(r.evaluated > 8);
-        assert!(
-            r.cache_hits >= r.evaluated - 8,
-            "revisits must hit the per-variant memo ({} evaluated, {} hits)",
-            r.evaluated,
-            r.cache_hits
-        );
-    }
-
-    #[test]
-    fn fabric_axis_explores_outstanding_depths() {
-        use svmsyn_mem::FabricConfig;
-        let a = app(2, 64);
-        let axis = vec![FabricConfig::blocking(), FabricConfig::default()];
-        let r = explore(
-            &a,
-            &Platform::default(),
-            &DseConfig {
-                method: DseMethod::Exhaustive,
-                sim: fast_sim(),
-                fabric_axis: axis.clone(),
-                ..DseConfig::default()
-            },
-        )
-        .unwrap();
-        // 4 placements x 2 fabric variants, every variant represented.
-        assert_eq!(r.evaluated, 8);
-        for f in &axis {
-            assert!(
-                r.feasible.iter().any(|p| p.fabric == *f),
-                "axis variant {f:?} missing from feasible set"
-            );
-        }
-        assert!(axis.contains(&r.best.fabric));
-        // On the all-hardware placement the windowed fabric must not lose
-        // to the blocking one: outstanding transactions only add overlap.
-        let all_hw_makespan = |f: &FabricConfig| {
-            r.feasible
-                .iter()
-                .filter(|p| {
-                    p.fabric == *f && p.placements.iter().all(|pl| *pl == Placement::Hardware)
-                })
-                .map(|p| p.makespan)
-                .min()
-                .expect("all-hw point per variant")
-        };
-        assert!(all_hw_makespan(&axis[1]) <= all_hw_makespan(&axis[0]));
-    }
-
-    #[test]
-    fn fabric_axis_crosses_with_walker_axis() {
-        use svmsyn_mem::FabricConfig;
-        let a = app(2, 64);
-        let r = explore(
-            &a,
-            &Platform::default(),
-            &DseConfig {
-                method: DseMethod::Exhaustive,
-                sim: fast_sim(),
-                walker_axis: vec![WalkerConfig::disabled(), WalkerConfig::default()],
-                fabric_axis: vec![FabricConfig::blocking(), FabricConfig::default()],
-                ..DseConfig::default()
-            },
-        )
-        .unwrap();
-        // 4 placements x 2 walkers x 2 fabrics.
-        assert_eq!(r.evaluated, 16);
-        let distinct: std::collections::HashSet<_> = r
-            .feasible
-            .iter()
-            .map(|p| (p.walker, p.fabric.clone()))
-            .collect();
-        assert_eq!(distinct.len(), 4, "every (walker, fabric) combination");
-    }
-
-    #[test]
-    fn memif_axis_explores_outstanding_miss_depths() {
-        let a = app(2, 64);
-        let axis = vec![1u32, 4];
-        let r = explore(
-            &a,
-            &Platform::default(),
-            &DseConfig {
-                method: DseMethod::Exhaustive,
-                sim: fast_sim(),
-                memif_axis: axis.clone(),
-                ..DseConfig::default()
-            },
-        )
-        .unwrap();
-        // 4 placements x 2 miss depths, every depth represented.
-        assert_eq!(r.evaluated, 8);
-        for &d in &axis {
-            assert!(
-                r.feasible.iter().any(|p| p.miss_depth == d),
-                "axis depth {d} missing from feasible set"
-            );
-        }
-        assert!(axis.contains(&r.best.miss_depth));
-        // On the all-hardware placement the non-blocking interface must not
-        // lose to the blocking one: hit-under-miss only adds overlap.
-        let all_hw_makespan = |d: u32| {
-            r.feasible
-                .iter()
-                .filter(|p| {
-                    p.miss_depth == d && p.placements.iter().all(|pl| *pl == Placement::Hardware)
-                })
-                .map(|p| p.makespan)
-                .min()
-                .expect("all-hw point per depth")
-        };
-        assert!(all_hw_makespan(4) <= all_hw_makespan(1));
-    }
-
-    #[test]
-    fn memif_axis_crosses_with_fabric_axis() {
-        use svmsyn_mem::FabricConfig;
-        let a = app(2, 64);
-        let r = explore(
-            &a,
-            &Platform::default(),
-            &DseConfig {
-                method: DseMethod::Exhaustive,
-                sim: fast_sim(),
-                fabric_axis: vec![FabricConfig::blocking(), FabricConfig::default()],
-                memif_axis: vec![1, 8],
-                ..DseConfig::default()
-            },
-        )
-        .unwrap();
-        // 4 placements x 2 fabrics x 2 depths.
-        assert_eq!(r.evaluated, 16);
-        let distinct: std::collections::HashSet<_> = r
-            .feasible
-            .iter()
-            .map(|p| (p.fabric.clone(), p.miss_depth))
-            .collect();
-        assert_eq!(distinct.len(), 4, "every (fabric, miss depth) combination");
-    }
-
-    #[test]
-    fn pressure_axis_explores_operating_points() {
-        let a = app(2, 64);
-        let axis = vec![
-            PressurePoint::default(),
-            PressurePoint {
-                frame_budget: Some(4),
-                ..PressurePoint::default()
-            },
-        ];
-        let r = explore(
-            &a,
-            &Platform::default(),
-            &DseConfig {
-                method: DseMethod::Exhaustive,
-                sim: fast_sim(),
-                pressure_axis: axis.clone(),
-                ..DseConfig::default()
-            },
-        )
-        .unwrap();
-        // 4 placements x 2 pressure points, every point represented.
-        assert_eq!(r.evaluated, 8);
-        for pt in &axis {
-            assert!(
-                r.feasible.iter().any(|p| p.pressure == *pt),
-                "axis point {pt:?} missing from feasible set"
-            );
-        }
-        assert!(axis.contains(&r.best.pressure));
-        // Starving the frame pool costs time: under the tight budget the
-        // all-hardware point cannot beat its unconstrained twin.
-        let all_hw_makespan = |pt: &PressurePoint| {
-            r.feasible
-                .iter()
-                .filter(|p| {
-                    p.pressure == *pt && p.placements.iter().all(|pl| *pl == Placement::Hardware)
-                })
-                .map(|p| p.makespan)
-                .min()
-                .expect("all-hw point per pressure point")
-        };
-        assert!(all_hw_makespan(&axis[1]) >= all_hw_makespan(&axis[0]));
-    }
-
-    #[test]
     fn panicking_candidate_does_not_abort_sweep() {
         let a = app(2, 64);
         // line_bytes below the widest access trips `Memif::new`'s assert,
@@ -1212,7 +819,6 @@ mod tests {
                     method: DseMethod::Exhaustive,
                     sim: fast_sim(),
                     threads,
-                    ..DseConfig::default()
                 },
             )
             .unwrap();
@@ -1249,7 +855,6 @@ mod tests {
                     method: DseMethod::Exhaustive,
                     sim: fast_sim(),
                     threads,
-                    ..DseConfig::default()
                 },
             )
             .unwrap();
@@ -1331,7 +936,9 @@ mod tests {
         assert_eq!(r.store_hits, 0, "different sim options must not collide");
 
         // A different platform variant: distinct keys.
-        let r = explore_with_store(&a, &platform.with_miss_depth(1), &cfg, Some(&store)).unwrap();
+        let mut shallow = platform.clone();
+        shallow.memif.miss_depth = 1;
+        let r = explore_with_store(&a, &shallow, &cfg, Some(&store)).unwrap();
         assert_eq!(r.store_hits, 0, "different platform must not collide");
 
         // checkpoint_every is result-transparent (simulate resumes
@@ -1478,25 +1085,28 @@ mod tests {
             fabric: two_hw + FabricResources::new(500, 500, 2, 1),
             ..Platform::default()
         };
-        let axis = vec![WalkerConfig::disabled(), WalkerConfig::two_level(4, 16)];
+        let walkers = [WalkerConfig::disabled(), WalkerConfig::two_level(4, 16)];
         let eligible = a.hw_eligible();
         for threads in [1, 4] {
-            let r = explore(
-                &a,
-                &platform,
-                &DseConfig {
-                    method: DseMethod::Exhaustive,
-                    sim: fast_sim(),
-                    threads,
-                    walker_axis: axis.clone(),
-                    ..DseConfig::default()
-                },
-            )
-            .unwrap();
-            assert!(r.panics.is_empty(), "threads={threads}: {:?}", r.panics);
             let (mut feasible, mut infeasible) = (0, 0);
-            for walker in &axis {
-                let variant = platform.with_walker(*walker);
+            for walker in &walkers {
+                let mut variant = platform.clone();
+                variant.memif.mmu.walker = *walker;
+                let r = explore(
+                    &a,
+                    &variant,
+                    &DseConfig {
+                        method: DseMethod::Exhaustive,
+                        sim: fast_sim(),
+                        threads,
+                    },
+                )
+                .unwrap();
+                assert!(
+                    r.panics.is_empty(),
+                    "threads={threads} walker={walker:?}: {:?}",
+                    r.panics
+                );
                 for mask in 0..1u64 << eligible.len() {
                     let placements = placements_from_mask(&a, &eligible, mask);
                     let fresh = synthesize(&a, &variant, &placements).ok().and_then(|d| {
@@ -1506,7 +1116,7 @@ mod tests {
                     let swept = r
                         .feasible
                         .iter()
-                        .find(|p| p.walker == *walker && p.placements == placements)
+                        .find(|p| p.placements == placements)
                         .map(|p| (p.resources, p.makespan));
                     assert_eq!(
                         swept, fresh,

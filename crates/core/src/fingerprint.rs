@@ -1,8 +1,8 @@
 //! Canonical content fingerprints for applications and platforms.
 //!
 //! The content-addressed result store (`svmsyn-store`) keys evaluations by
-//! `(app fingerprint, platform fingerprint, variant, placements)`, and those
-//! keys must collide exactly when the inputs are the same *content* — across
+//! `(app fingerprint, platform fingerprint, sim options, placements)`, and
+//! those keys must collide exactly when the inputs are the same *content* — across
 //! processes, across hosts, across builds. So fingerprints here are fnv1a-64
 //! digests of canonical snap encodings: every semantically relevant field is
 //! written with fixed tags and little-endian scalars, in declaration order,
@@ -15,10 +15,10 @@
 //! Names are included deliberately: an application's buffer/thread names and
 //! a kernel's name are part of its declared content (two apps that differ
 //! only in name are different submissions and may diverge later). The one
-//! exception is [`Platform::name`], which is cosmetic — `with_walker` and
-//! friends clone it unchanged across materially different variants — so the
-//! platform fingerprint excludes it, mirroring what `design_fingerprint`
-//! does for `SystemDesign::name`.
+//! exception is [`Platform::name`], which is cosmetic — `with_fabric`,
+//! `with_pressure` and field edits of a clone keep it unchanged across
+//! materially different platforms — so the platform fingerprint excludes
+//! it, mirroring what `design_fingerprint` does for `SystemDesign::name`.
 
 use svmsyn_snap::{fnv1a, SnapWriter};
 
@@ -41,7 +41,7 @@ pub fn app_fingerprint(app: &Application) -> u64 {
 
 /// The canonical fingerprint of a platform: a content hash of every
 /// parameter that affects synthesis or simulation. The cosmetic `name` is
-/// excluded (variant constructors copy it across different configurations).
+/// excluded (clones keep it across different configurations).
 pub fn platform_fingerprint(platform: &Platform) -> u64 {
     let mut w = SnapWriter::new();
     encode_platform(platform, &mut w);
@@ -284,14 +284,15 @@ mod tests {
 
         let base = platform_fingerprint(&p);
         assert_ne!(base, platform_fingerprint(&Platform::small()));
-        assert_ne!(base, platform_fingerprint(&p.with_miss_depth(1)));
-        assert_ne!(
-            base,
-            platform_fingerprint(&p.with_walker(svmsyn_vm::walker::WalkerConfig {
-                l1_entries: 2,
-                l2_entries: 2,
-            }))
-        );
+        let mut shallow = p.clone();
+        shallow.memif.miss_depth = 1;
+        assert_ne!(base, platform_fingerprint(&shallow));
+        let mut walker = p.clone();
+        walker.memif.mmu.walker = svmsyn_vm::walker::WalkerConfig {
+            l1_entries: 2,
+            l2_entries: 2,
+        };
+        assert_ne!(base, platform_fingerprint(&walker));
         let mut pressured = p.pressure_point();
         pressured.frame_budget = Some(64);
         assert_ne!(base, platform_fingerprint(&p.with_pressure(pressured)));
@@ -321,8 +322,10 @@ mod tests {
             let a2 = build_app("p", n, seed);
             prop_assert_eq!(app_fingerprint(&a1), app_fingerprint(&a2));
 
-            let p1 = Platform::default().with_miss_depth(depth);
-            let p2 = Platform::default().with_miss_depth(depth);
+            let mut p1 = Platform::default();
+            p1.memif.miss_depth = depth;
+            let mut p2 = Platform::default();
+            p2.memif.miss_depth = depth;
             prop_assert_eq!(platform_fingerprint(&p1), platform_fingerprint(&p2));
             if depth != Platform::default().memif.miss_depth {
                 prop_assert!(

@@ -19,8 +19,7 @@
 //! * [`dse`] — [`dse::explore`]: HW/SW partitioning (exhaustive, greedy,
 //!   annealing) with simulation-in-the-loop evaluation.
 //! * [`checkpoint`] — versioned, checksummed snapshot images
-//!   ([`checkpoint::Checkpoint`]), snapshot-fork pressure sweeps, and the
-//!   divergence bisector.
+//!   ([`checkpoint::Checkpoint`]) and the divergence bisector.
 //! * [`baseline`] — the copy-based DMA accelerator flow the SVM approach is
 //!   compared against (Figure 4).
 //! * [`fingerprint`] — canonical content hashes of applications and
@@ -74,10 +73,7 @@ mod step;
 
 pub use app::{Application, ApplicationBuilder, ArgSpec, SyncAction, SyncSpec};
 pub use budget::{host_cores, map_ordered, worker_budget};
-pub use checkpoint::{
-    bisect_divergence, digest_at, fork_swap_sweep, BisectSide, Checkpoint, Divergence, ForkArm,
-    ForkError,
-};
+pub use checkpoint::{bisect_divergence, digest_at, BisectSide, Checkpoint, Divergence};
 pub use dse::{explore, explore_with_store, DseConfig, DseError, DseMethod, DsePanic, DseResult};
 pub use fingerprint::{app_fingerprint, platform_fingerprint};
 pub use flow::{synthesize, Placement, SynthesisError, SystemDesign};

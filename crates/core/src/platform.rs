@@ -7,9 +7,9 @@ use svmsyn_os::os::OsConfig;
 use svmsyn_os::AllocPolicy;
 use svmsyn_sim::FabricResources;
 
-/// One memory-pressure operating point — the DSE pressure axis: how many
-/// physical frames the OS manages, when anonymous pages get them, and how
-/// fast the swap device moves a page.
+/// One memory-pressure operating point: how many physical frames the OS
+/// manages, when anonymous pages get them, and how fast the swap device
+/// moves a page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PressurePoint {
     /// Frame-pool cap (`None` = all of DRAM beyond the reservation).
@@ -78,35 +78,15 @@ impl Default for Platform {
 }
 
 impl Platform {
-    /// The same platform with the per-thread page-table-walker geometry
-    /// replaced — the variant constructor behind the DSE walk-cache axis.
-    pub fn with_walker(&self, walker: svmsyn_vm::walker::WalkerConfig) -> Self {
-        let mut p = self.clone();
-        p.memif.mmu.walker = walker;
-        p
-    }
-
     /// The same platform with the memory-fabric parameters (outstanding
-    /// window depth, MSHR count, …) replaced — the variant constructor
-    /// behind the DSE fabric axis.
+    /// window depth, MSHR count, …) replaced.
     pub fn with_fabric(&self, fabric: svmsyn_mem::FabricConfig) -> Self {
         let mut p = self.clone();
         p.mem.fabric = fabric;
         p
     }
 
-    /// The same platform with the per-thread MEMIF outstanding-miss depth
-    /// replaced — the variant constructor behind the DSE hit-under-miss
-    /// axis (`1` = blocking interface, `>1` = non-blocking with that many
-    /// fills in flight).
-    pub fn with_miss_depth(&self, depth: u32) -> Self {
-        let mut p = self.clone();
-        p.memif.miss_depth = depth;
-        p
-    }
-
-    /// The same platform at a different memory-pressure operating point —
-    /// the variant constructor behind the DSE pressure axis.
+    /// The same platform at a different memory-pressure operating point.
     pub fn with_pressure(&self, point: PressurePoint) -> Self {
         let mut p = self.clone();
         p.os.frame_budget = point.frame_budget;

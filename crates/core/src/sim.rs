@@ -812,11 +812,6 @@ impl<'d> Sim<'d> {
         self.sched.events_fired()
     }
 
-    /// The live OS (counters, swap, resident registry) — read-only.
-    pub fn os(&self) -> &Os {
-        &self.state.os
-    }
-
     /// Post-event bookkeeping: shootdown broadcast, event cap, fault-rate
     /// watchdog. Returns `false` when the run must stop (an error was set).
     fn after_step(&mut self) -> bool {

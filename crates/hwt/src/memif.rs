@@ -47,8 +47,7 @@ pub struct MemifConfig {
     /// interface-level MSHRs): how many misses may be in flight before a
     /// new miss must wait for the oldest fill. `1` selects the blocking
     /// (pre-event-delivery) discipline — the hardware thread stalls at
-    /// every miss, cycle-identical to the analytic-poll path. A DSE axis
-    /// (see `DseConfig::memif_axis`).
+    /// every miss, cycle-identical to the analytic-poll path.
     pub miss_depth: u32,
 }
 

@@ -26,7 +26,8 @@ pub struct DramConfig {
 }
 
 impl Default for DramConfig {
-    /// Defaults sized for the Zynq-era platform in `DESIGN.md` §4.
+    /// Defaults sized for a Zynq-7000-class platform; ARCHITECTURE.md,
+    /// "Platform defaults", gives each value's source.
     fn default() -> Self {
         DramConfig {
             banks: 8,

@@ -97,9 +97,10 @@ pub struct FabricConfig {
 }
 
 impl Default for FabricConfig {
-    /// The `DESIGN.md` §4 channel (8 B/cycle, 4-cycle address phase) with a
-    /// modest AXI-class outstanding capability: 4-deep windows, 4 MSHRs over
-    /// 64 B lines.
+    /// The default channel (8 B/cycle, 4-cycle address phase) with a modest
+    /// AXI-class outstanding capability: 4-deep windows, 4 MSHRs over 64 B
+    /// lines. ARCHITECTURE.md, "Platform defaults", gives each value's
+    /// source.
     fn default() -> Self {
         FabricConfig {
             width_bytes: 8,

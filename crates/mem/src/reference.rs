@@ -24,7 +24,8 @@ pub struct BusConfig {
 }
 
 impl Default for BusConfig {
-    /// Defaults from `DESIGN.md` §4 (8 B/cycle, 4-cycle arbitration).
+    /// The default channel (8 B/cycle, 4-cycle arbitration), as tabled with
+    /// its source in ARCHITECTURE.md, "Platform defaults".
     fn default() -> Self {
         BusConfig {
             width_bytes: 8,

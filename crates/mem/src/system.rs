@@ -36,8 +36,9 @@ pub struct MemConfig {
 }
 
 impl Default for MemConfig {
-    /// The `DESIGN.md` §4 platform: 512 MiB, 8 B/cycle channel, 256 B
-    /// bursts, 4-deep outstanding windows with 4 MSHRs.
+    /// The default platform (ARCHITECTURE.md, "Platform defaults"): 512 MiB,
+    /// 8 B/cycle channel, 256 B bursts, 4-deep outstanding windows with 4
+    /// MSHRs.
     fn default() -> Self {
         MemConfig {
             size_bytes: 512 << 20,

@@ -2,9 +2,10 @@
 //!
 //! These constants are the software half of the paper's system: how long the
 //! interrupt path, the delegate thread, and the page-fault service take.
-//! They follow the `DESIGN.md` §4 platform (CPU at 2× the 100 MHz fabric
-//! clock): e.g. 400 fabric cycles ≈ 4 µs for interrupt entry + dispatch,
-//! the right order for a Zynq-era embedded Linux. Table 3 prints the
+//! They assume the default platform (CPU at 2× the 100 MHz fabric clock):
+//! e.g. 400 fabric cycles ≈ 4 µs for interrupt entry + dispatch, the right
+//! order for a Zynq-era embedded Linux. ARCHITECTURE.md, "Platform
+//! defaults", tables every value with its source. Table 3 prints the
 //! breakdown measured through this model.
 
 /// Fixed OS path costs, in fabric cycles.
@@ -39,7 +40,8 @@ pub struct OsCosts {
 }
 
 impl Default for OsCosts {
-    /// The `DESIGN.md` §4 defaults.
+    /// The defaults tabled, with their sources, in ARCHITECTURE.md,
+    /// "Platform defaults".
     fn default() -> Self {
         OsCosts {
             interrupt_entry: 400,

@@ -2,11 +2,12 @@
 //!
 //! A software thread interprets the *same kernel IR* as a hardware thread,
 //! but is costed with a CPI table, an L1 data cache, and a CPU TLB. The CPU
-//! runs at twice the fabric clock (`DESIGN.md` §4), so CPI values are
-//! charged in half-fabric-cycles. The cache is a *timing* cache: data always
-//! moves through the shared [`MemorySystem`] functionally, so software and
-//! hardware threads stay coherent by construction, and the cache model only
-//! decides whether a bus transaction is charged.
+//! runs at twice the fabric clock (an assumed ratio; ARCHITECTURE.md,
+//! "Platform defaults"), so CPI values are charged in half-fabric-cycles.
+//! The cache is a *timing* cache: data always moves through the shared
+//! [`MemorySystem`] functionally, so software and hardware threads stay
+//! coherent by construction, and the cache model only decides whether a
+//! bus transaction is charged.
 
 use std::sync::Arc;
 

@@ -2,12 +2,11 @@
 //! for the primitives every persistence layer in the workspace builds on.
 //!
 //! [`fnv1a`] started life inside the snapshot codec as its checksum; the
-//! content-addressed result store (`svmsyn-store`) and the sweep service
-//! (`svmsyn-serve`) key records by the same digest, so the hash (and the
-//! LE read/write helpers the image container pairs it with) lives here as
-//! an exported module instead of being copied per crate. `svmsyn_snap`
-//! re-exports [`fnv1a`] at the crate root for compatibility with existing
-//! callers.
+//! content-addressed result store (`svmsyn-store`) keys records by the same
+//! digest, so the hash (and the LE read/write helpers the image container
+//! pairs it with) lives here as an exported module instead of being copied
+//! per crate. `svmsyn_snap` re-exports [`fnv1a`] at the crate root for
+//! compatibility with existing callers.
 
 /// The FNV-1a 64-bit offset basis.
 pub const FNV1A_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;

@@ -50,7 +50,8 @@ pub struct TlbConfig {
 }
 
 impl Default for TlbConfig {
-    /// The `DESIGN.md` §4 default: 16-entry fully-associative LRU, 1-cycle hit.
+    /// The platform default (ARCHITECTURE.md, "Platform defaults"):
+    /// 16-entry fully-associative LRU, 1-cycle hit.
     fn default() -> Self {
         TlbConfig {
             entries: 16,

@@ -47,8 +47,8 @@ pub struct WalkerConfig {
 }
 
 impl Default for WalkerConfig {
-    /// The `DESIGN.md` §4 default: a 4-entry directory cache plus an
-    /// 8-entry leaf cache.
+    /// The platform default (ARCHITECTURE.md, "Platform defaults"): a
+    /// 4-entry directory cache plus an 8-entry leaf cache.
     fn default() -> Self {
         WalkerConfig {
             l1_entries: 4,

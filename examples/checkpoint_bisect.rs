@@ -1,13 +1,14 @@
 //! Checkpoint workflows end to end: interrupt a pressured simulation,
 //! write the checkpoint to disk, resume it in a "new process" (a fresh
-//! `Sim` built from the file bytes alone), fork a swap-latency sweep off
-//! one warmed snapshot, and finally bisect the first diverging cycle
-//! window between two operating points.
+//! `Sim` built from the file bytes alone), then bisect the first diverging
+//! cycle window between two swap latencies.
 //!
-//! Run with `cargo run --release --example checkpoint_bisect`.
+//! Run with `cargo run --release --example checkpoint_bisect`. It exits
+//! non-zero when the resumed run differs from the uninterrupted one or the
+//! bisection finds no divergence.
 
 use svmsyn::app::{Application, ApplicationBuilder, ArgSpec};
-use svmsyn::checkpoint::{bisect_divergence, fork_swap_sweep, BisectSide};
+use svmsyn::checkpoint::{bisect_divergence, BisectSide};
 use svmsyn::flow::{synthesize, Placement};
 use svmsyn::platform::{Platform, PressurePoint};
 use svmsyn::sim::{simulate, RunProgress, Sim, SimConfig};
@@ -99,35 +100,22 @@ fn main() {
     let mut resumed = Sim::restore(&design, &cfg, &cp).expect("restore");
     while !matches!(resumed.run().expect("resumed run"), RunProgress::Complete) {}
     let outcome = resumed.finish().expect("resumed finish");
+    let identical = outcome.makespan == reference.makespan;
     println!(
         "resumed to completion: makespan {} (uninterrupted: {}) -> {}",
         outcome.makespan.0,
         reference.makespan.0,
-        if outcome.makespan == reference.makespan {
+        if identical {
             "bit-identical"
         } else {
             "DIVERGED (bug!)"
         }
     );
-
-    // ── 2. Snapshot-fork a swap-latency sweep off one warmup ───────────
-    let latencies = [500u64, 5_000, 20_000, 80_000];
-    let arms = fork_swap_sweep(&app, &base, &[Placement::Hardware], &latencies, &cfg, 8)
-        .expect("forked sweep");
-    println!(
-        "\nswap-latency sweep (one warmup, {} forked arms):",
-        arms.len()
-    );
-    for arm in &arms {
-        println!(
-            "  swap_latency {:>6} -> makespan {:>8}  (reclaims {})",
-            arm.swap_latency,
-            arm.outcome.makespan.0,
-            arm.outcome.stats().get("pressure.reclaims").unwrap_or(0.0)
-        );
+    if !identical {
+        std::process::exit(1);
     }
 
-    // ── 3. Bisect where two operating points part ways ─────────────────
+    // ── 2. Bisect where two operating points part ways ─────────────────
     let slow = base.with_pressure(PressurePoint {
         swap_latency: 50_000,
         ..base.pressure_point()
@@ -157,6 +145,9 @@ fn main() {
              (digests {:#018x} vs {:#018x})",
             d.last_agree.0, d.first_diverge.0, d.digest_a, d.digest_b
         ),
-        None => println!("\nno divergence up to cycle {horizon:?} (unexpected here)"),
+        None => {
+            println!("\nno divergence up to cycle {horizon:?} (unexpected here)");
+            std::process::exit(1);
+        }
     }
 }

@@ -26,7 +26,6 @@ fn fast_dse() -> DseConfig {
             ..SimConfig::default()
         },
         threads: 1,
-        ..DseConfig::default()
     }
 }
 
