@@ -484,6 +484,113 @@ fn serial_checkpoint_restores_into_sharded_engine() {
     }
 }
 
+/// The pending-step count a payload ends with: `next_step_seq`, the count,
+/// then one `(at, seq, thread)` entry of 8 + 8 + 4 bytes per step.
+fn pending_steps(image: &Checkpoint, steps: usize) -> u64 {
+    let (_, payload) = svmsyn_snap::read_image(image.as_bytes(), SNAPSHOT_VERSION).unwrap();
+    let at = payload.len() - 20 * steps - 8;
+    u64::from_le_bytes(payload[at..at + 8].try_into().unwrap())
+}
+
+/// The images [`snapshot_bytes_are_pinned`] pins, in this order: the
+/// default suite (seed 1) all-HW and all-SW, each without a frame budget
+/// and under 8 frames, at half makespan; then the 4-thread fanout vecadd
+/// all-HW on the serial engine at half makespan and on 4 parallel shards
+/// at the first `checkpoint_every = 40` pause.
+fn pinned_images() -> Vec<(String, Checkpoint)> {
+    let cfg = SimConfig::default();
+    let half_makespan_image = |design: &SystemDesign| {
+        let half = Cycle(simulate(design, &cfg).unwrap().makespan.0 / 2);
+        let mut sim = Sim::new(design, &cfg).unwrap();
+        assert!(sim.run_until(half).unwrap(), "finished before the cut");
+        sim.snapshot()
+    };
+    let mut images = Vec::new();
+    for w in svmsyn_workloads::default_suite(1) {
+        for (pl, placement) in [("hw", Placement::Hardware), ("sw", Placement::Software)] {
+            for (bl, budget) in [("none", None), ("8", Some(8))] {
+                let mut platform = Platform::default();
+                platform.os.frame_budget = budget;
+                let placements = vec![placement; w.app.threads.len()];
+                let design = synthesize(&w.app, &platform, &placements).unwrap();
+                images.push((
+                    format!("{}/{pl}/{bl}", w.name),
+                    half_makespan_image(&design),
+                ));
+            }
+        }
+    }
+    let (design, sharded_cfg, _) = sharded_fixture();
+    let serial = half_makespan_image(&design);
+    let parallel = first_pause(&design, &sharded_cfg, ExecMode::Parallel);
+    for image in [&serial, &parallel] {
+        assert_eq!(pending_steps(image, 4), 4, "fanout image step count");
+    }
+    images.push(("fanout-vecadd-x4/serial".to_string(), serial));
+    images.push(("fanout-vecadd-x4/parallel4".to_string(), parallel));
+    images
+}
+
+/// `Fnv1a` digests of the [`pinned_images`], recorded against the engine
+/// that wrote every existing checkpoint. A change that claims to leave
+/// snapshot bytes alone must leave this table alone too.
+const PINNED_IMAGE_DIGESTS: &[(&str, u64)] = &[
+    ("vecadd/hw/none", 0x8ca36dd4001ada17),
+    ("vecadd/hw/8", 0x35416ec2cb741aad),
+    ("vecadd/sw/none", 0x3c97091dd2d5650e),
+    ("vecadd/sw/8", 0x54a73cda4e8e6210),
+    ("saxpy/hw/none", 0x9d48586cd8b2af1d),
+    ("saxpy/hw/8", 0x70ba8b7fdcbbff05),
+    ("saxpy/sw/none", 0x3158dc93a6b6b153),
+    ("saxpy/sw/8", 0x33a53b693deced7f),
+    ("matmul/hw/none", 0x0321bc5dd33e324f),
+    ("matmul/hw/8", 0x72a18ea064d7cfdb),
+    ("matmul/sw/none", 0x93c02e9953c19785),
+    ("matmul/sw/8", 0x9605499f86a48e00),
+    ("sobel/hw/none", 0x75c5ebae3a8b8391),
+    ("sobel/hw/8", 0x95bf2f9040c58e00),
+    ("sobel/sw/none", 0x6c70d5021b417de0),
+    ("sobel/sw/8", 0xd0c1f8765729cd95),
+    ("histogram/hw/none", 0xb3bbdcb1bd5432a6),
+    ("histogram/hw/8", 0x111e6d22e495b740),
+    ("histogram/sw/none", 0x070786ebe252eb6b),
+    ("histogram/sw/8", 0xf18938799a5dfe4c),
+    ("spmv/hw/none", 0x95516980328e1fd9),
+    ("spmv/hw/8", 0x74ab79016793e38f),
+    ("spmv/sw/none", 0x7f3963d5086e1c84),
+    ("spmv/sw/8", 0xd09fb0a84391480e),
+    ("chase/hw/none", 0xa93bc4f6d59e67bc),
+    ("chase/hw/8", 0x95f6108363eda1d8),
+    ("chase/sw/none", 0xafbe225f2c8a8b12),
+    ("chase/sw/8", 0xb3f72ba0ebcbb47c),
+    ("oesort/hw/none", 0x0e42a173d6d6928d),
+    ("oesort/hw/8", 0x83f53a47773e19b1),
+    ("oesort/sw/none", 0xf06d11af074d9778),
+    ("oesort/sw/8", 0x7498a54e4a599750),
+    ("fanout-vecadd-x4/serial", 0x49f7cb1541d75f4c),
+    ("fanout-vecadd-x4/parallel4", 0xa02edd6a140addfd),
+];
+
+/// The snapshot bytes of a fixed set of runs are pinned: the engine may
+/// change how it keeps pending steps, but not what an image records.
+#[test]
+fn snapshot_bytes_are_pinned() {
+    let found: Vec<(String, u64)> = pinned_images()
+        .into_iter()
+        .map(|(name, image)| (name, svmsyn_snap::fnv1a(image.as_bytes())))
+        .collect();
+    let names: Vec<&str> = found.iter().map(|(n, _)| n.as_str()).collect();
+    let pinned: Vec<&str> = PINNED_IMAGE_DIGESTS.iter().map(|&(n, _)| n).collect();
+    assert_eq!(names, pinned, "pinned image set");
+    let moved: Vec<&str> = found
+        .iter()
+        .zip(PINNED_IMAGE_DIGESTS)
+        .filter(|((_, d), &(_, want))| *d != want)
+        .map(|((n, _), _)| n.as_str())
+        .collect();
+    assert!(moved.is_empty(), "snapshot bytes moved: {moved:?}");
+}
+
 /// Satellite audit: `SimError` is a real `std::error::Error` — every
 /// variant Displays non-empty, and wrapper variants expose their cause
 /// through `source()`.
