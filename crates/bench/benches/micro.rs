@@ -1,6 +1,5 @@
 //! Micro-benchmarks over the components of the stack, self-hosted (the
-//! build environment has no crates.io access, so no criterion): scheduler
-//! event throughput (timing wheel vs. the retained heap reference), TLB
+//! build environment has no crates.io access, so no criterion): TLB
 //! lookups, cache accesses, page-table walks, MEMIF stream and fabric
 //! reads, HLS compile/schedule/decode, checkpoint round trips, and the
 //! result store's warm-vs-cold sweep.
@@ -35,7 +34,7 @@ use svmsyn_hls::sched::list_schedule;
 use svmsyn_hwt::memif::{Memif, MemifConfig};
 use svmsyn_mem::fabric::two_master_stream_cycles;
 use svmsyn_mem::{FabricConfig, FabricPort, MasterId, MemConfig, MemorySystem, PhysAddr, VirtAddr};
-use svmsyn_sim::{Cycle, HeapScheduler, Scheduler};
+use svmsyn_sim::Cycle;
 use svmsyn_store::ResultStore;
 use svmsyn_vm::pte::{DirEntry, Pte, PteFlags};
 use svmsyn_vm::tlb::{Asid, Replacement, Tlb, TlbConfig};
@@ -65,86 +64,6 @@ fn time<F: FnMut()>(mut f: F) -> f64 {
         .collect();
     secs.sort_by(f64::total_cmp);
     secs[PASSES / 2]
-}
-
-// ---------------------------------------------------------------------------
-// Scheduler throughput: the tentpole comparison.
-//
-// Identical workload on both engines: K events stay in flight; each event,
-// when fired, advances a shared LCG and reschedules itself at a pseudo-random
-// near-future delay, until N total events have fired. Every closure captures
-// nothing (fn items), so the wheel runs fully inline/slab-resident while the
-// heap pays its per-event Box + sift — exactly the retired engine's cost.
-// ---------------------------------------------------------------------------
-
-struct SchedModel {
-    fired: u64,
-    limit: u64,
-    lcg: u64,
-}
-
-impl SchedModel {
-    fn next_delay(&mut self) -> u64 {
-        self.lcg = self
-            .lcg
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        (self.lcg >> 33) % 1000
-    }
-}
-
-const SCHED_DEPTH: u64 = 4096;
-
-fn wheel_tick(m: &mut SchedModel, s: &mut Scheduler<SchedModel>) {
-    m.fired += 1;
-    if m.fired + SCHED_DEPTH <= m.limit {
-        let d = m.next_delay();
-        s.schedule_in(Cycle(d), wheel_tick);
-    }
-}
-
-fn heap_tick(m: &mut SchedModel, s: &mut HeapScheduler<SchedModel>) {
-    m.fired += 1;
-    if m.fired + SCHED_DEPTH <= m.limit {
-        let d = m.next_delay();
-        s.schedule_in(Cycle(d), heap_tick);
-    }
-}
-
-fn bench_scheduler_wheel(events: u64) -> f64 {
-    let secs = time(|| {
-        let mut model = SchedModel {
-            fired: 0,
-            limit: events,
-            lcg: 0x1234_5678,
-        };
-        let mut s: Scheduler<SchedModel> = Scheduler::with_capacity(SCHED_DEPTH as usize);
-        for i in 0..SCHED_DEPTH {
-            s.schedule_at(Cycle(i % 997), wheel_tick);
-        }
-        s.run(&mut model);
-        assert_eq!(model.fired, events);
-        black_box(s.now());
-    });
-    events as f64 / secs
-}
-
-fn bench_scheduler_heap(events: u64) -> f64 {
-    let secs = time(|| {
-        let mut model = SchedModel {
-            fired: 0,
-            limit: events,
-            lcg: 0x1234_5678,
-        };
-        let mut s: HeapScheduler<SchedModel> = HeapScheduler::new();
-        for i in 0..SCHED_DEPTH {
-            s.schedule_at(Cycle(i % 997), heap_tick);
-        }
-        s.run(&mut model);
-        assert_eq!(model.fired, events);
-        black_box(s.now());
-    });
-    events as f64 / secs
 }
 
 // ---------------------------------------------------------------------------
@@ -529,25 +448,6 @@ fn main() {
     let scale: u64 = if smoke { 40 } else { 1 };
     let mut results: Vec<Result> = Vec::new();
 
-    let wheel = bench_scheduler_wheel(2_000_000 / scale);
-    let heap = bench_scheduler_heap(2_000_000 / scale);
-    let ratio = wheel / heap;
-    results.push(Result {
-        name: "scheduler_wheel_events_per_sec",
-        value: wheel,
-        unit: "events/s",
-    });
-    results.push(Result {
-        name: "scheduler_heap_events_per_sec",
-        value: heap,
-        unit: "events/s",
-    });
-    results.push(Result {
-        name: "scheduler_wheel_vs_heap_speedup",
-        value: ratio,
-        unit: "x",
-    });
-
     for (name, policy) in [
         ("tlb_lookup_lru_per_sec", Replacement::Lru),
         ("tlb_lookup_fifo_per_sec", Replacement::Fifo),
@@ -708,10 +608,4 @@ fn main() {
     let path = root.join("BENCH_baseline.json");
     write_baseline(&results, &path);
     println!("\nwrote {}", path.display());
-
-    // Advisory only: host load can still move the median, so a low ratio
-    // warns rather than failing the bench run.
-    if ratio < 2.0 {
-        eprintln!("WARNING: wheel/heap ratio {ratio:.2} below the 2.0 target on this machine");
-    }
 }

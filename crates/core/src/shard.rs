@@ -1,12 +1,12 @@
-//! Sharded parallel simulation: per-shard event wheels advanced in
+//! Sharded parallel simulation: per-shard step queues advanced in
 //! conservative lookahead windows, proven cycle-identical to a sequential
-//! single-wheel oracle.
+//! single-host-thread oracle.
 //!
 //! # Architecture
 //!
-//! The serial engine in [`crate::sim`] runs every thread on one timing
-//! wheel. This module partitions the threads across *shards*, each owning
-//! its own wheel and a private replica of the memory system, and advances
+//! The serial engine in [`crate::sim`] runs every thread on one step
+//! queue. This module partitions the threads across *shards*, each owning
+//! its own queue and a private replica of the memory system, and advances
 //! all shards in lock-step **windows** of `W` cycles:
 //!
 //! 1. **Plan** — [`planned_shards`] assigns software threads to shard 0
@@ -14,7 +14,7 @@
 //!    across the rest. Designs where software threads run under a frame
 //!    budget are forced serial: an inline software fault can reclaim a
 //!    frame another shard is touching mid-window.
-//! 2. **Window** — each shard fires its wheel's events with timestamps in
+//! 2. **Window** — each shard fires its queue's steps with timestamps in
 //!    `[T, T+W)` against its own memory replica. `W` is at least the
 //!    fabric's minimum issue-to-complete latency
 //!    ([`MemorySystem::min_issue_to_complete`]), so nothing a shard does
@@ -49,7 +49,7 @@ use svmsyn_mem::merge::{
 };
 use svmsyn_mem::{MemorySystem, VirtAddr};
 use svmsyn_os::os::Os;
-use svmsyn_sim::{Cycle, Scheduler};
+use svmsyn_sim::{Cycle, StepQueue};
 use svmsyn_vm::tlb::Asid;
 
 use crate::checkpoint::Checkpoint;
@@ -59,7 +59,7 @@ use crate::sim::{
     SimError, SimOutcome, SnapshotParts, SnapshotView, ThreadRt,
 };
 use crate::step::{
-    outcome, run_phase, sync_step, with_checkpoint, FaultStreak, RunParts, StepMirror, StepModel,
+    fire_next, outcome, run_phase, sync_step, with_checkpoint, FaultStreak, RunParts, StepModel,
     SyncHost, Watchdog,
 };
 
@@ -85,7 +85,7 @@ pub enum ExecMode {
     /// coordinator stops and joins the crew first.
     Parallel,
     /// All shards sequentially on the coordinator thread, in shard order —
-    /// the single-wheel oracle the conformance suite compares against.
+    /// the sequential oracle the conformance suite compares against.
     SingleWheel,
 }
 
@@ -203,9 +203,6 @@ struct ShardState {
     /// Full-size mirror of the global fault-streak table; only the slots
     /// of owned threads are ever written here.
     fault_streaks: Vec<FaultStreak>,
-    /// Mirror of this wheel's pending step events. Its seq lane restarts
-    /// at `base + s` (stride `N`) every window.
-    steps: StepMirror,
     /// Outbox: cross-shard interactions recorded this window.
     crossings: Vec<Crossing>,
     /// First error this shard hit (stops its window immediately; the
@@ -224,11 +221,11 @@ struct ShardState {
     shootdown_out: Vec<(Asid, VirtAddr)>,
 }
 
-type ShardSched = Scheduler<ShardState>;
-
 struct Shard {
     state: ShardState,
-    wheel: ShardSched,
+    /// This shard's pending steps. Its seq lane restarts at `base + s`
+    /// (stride `N`) every window.
+    queue: StepQueue,
 }
 
 /// Applies shootdowns queued by an inline software fault to this shard's
@@ -247,22 +244,18 @@ fn drain_local_shootdowns(st: &mut ShardState) {
     }
 }
 
-/// A shard's wheel model: run-phase follow-ups book in the shard's seq
+/// A shard's step model: run-phase follow-ups book in the shard's seq
 /// lane, while faults and kernel completions leave as crossings for the
 /// coordinator to handle at the barrier.
 impl StepModel for ShardState {
-    fn steps(&mut self) -> &mut StepMirror {
-        &mut self.steps
-    }
-
-    fn step(&mut self, wh: &mut ShardSched, i: usize) {
-        // Only run-phase bodies live on shard wheels; pre/post sync scripts
+    fn step(&mut self, q: &mut StepQueue, i: usize) {
+        // Only run-phase bodies live on shard queues; pre/post sync scripts
         // execute on the coordinator's control queue.
         let running = self.threads[i]
             .as_ref()
             .is_some_and(|t| t.phase == Phase::Run);
         if self.error.is_none() && running {
-            run_phase(self, wh, i);
+            run_phase(self, q, i);
             // Inline software faults may have queued reclaim shootdowns.
             drain_local_shootdowns(self);
         }
@@ -280,7 +273,7 @@ impl StepModel for ShardState {
     }
 
     /// A hardware fault parks the thread until the barrier services it.
-    fn fault(&mut self, _: &mut ShardSched, i: usize, at: Cycle, va: VirtAddr, write: bool) {
+    fn fault(&mut self, _: &mut StepQueue, i: usize, at: Cycle, va: VirtAddr, write: bool) {
         self.crossings.push(Crossing::Fault {
             thread: i as u32,
             at,
@@ -289,7 +282,7 @@ impl StepModel for ShardState {
         });
     }
 
-    fn finished(&mut self, _: &mut ShardSched, i: usize, at: Cycle) {
+    fn finished(&mut self, _: &mut StepQueue, i: usize, at: Cycle) {
         self.crossings.push(Crossing::Finish {
             thread: i as u32,
             at,
@@ -298,12 +291,12 @@ impl StepModel for ShardState {
 
     /// Stops this shard's window; the coordinator picks the globally-first
     /// error at the barrier.
-    fn fail(&mut self, _: &mut ShardSched, at: Cycle, error: SimError) {
+    fn fail(&mut self, at: Cycle, error: SimError) {
         self.error = Some((at, error));
     }
 }
 
-/// Fires one shard's wheel through the window `[.., end)`. Stops early on
+/// Fires one shard's queue through the window `[.., end)`. Stops early on
 /// a shard-local error or when the shard's deterministic event budget for
 /// this window runs out.
 fn run_window(sh: &mut Shard, end: Cycle) {
@@ -311,9 +304,9 @@ fn run_window(sh: &mut Shard, end: Cycle) {
         if sh.state.error.is_some() || sh.state.cap_hit {
             return;
         }
-        match sh.wheel.peek_time() {
+        match sh.queue.peek_time() {
             Some(at) if at < end => {
-                sh.wheel.step(&mut sh.state);
+                fire_next(&mut sh.state, &mut sh.queue);
                 sh.state.window_fired += 1;
                 if sh.state.window_fired >= sh.state.window_budget {
                     sh.state.cap_hit = true;
@@ -357,7 +350,7 @@ pub struct ShardedSim<'d> {
     /// Barrier control queue, processed in `(at, seq)` order.
     heap: BinaryHeap<Reverse<CtrlItem>>,
     /// Run-phase activations staged during control processing, delivered
-    /// into shard wheels (clamped to the window start) before dispatch.
+    /// into shard queues (clamped to the window start) before dispatch.
     deliveries: Vec<(Cycle, u32)>,
     finished: usize,
     error: Option<PendingError>,
@@ -372,7 +365,7 @@ pub struct ShardedSim<'d> {
     /// The lookahead window length `W`.
     window: u64,
     /// Control-queue items processed (they count as events, as they do on
-    /// the serial wheel).
+    /// the serial queue).
     ctrl_fired: u64,
     /// Events fired before this instance existed (restore carry-over).
     base_fired: u64,
@@ -428,7 +421,7 @@ impl<'d> ShardedSim<'d> {
     }
 
     /// The conservative lookahead window: an override when configured,
-    /// otherwise the larger of the quantum (threads re-book the wheel at
+    /// otherwise the larger of the quantum (threads re-book their queue at
     /// most once per quantum) and the fabric's minimum issue-to-complete
     /// latency (nothing crosses shards faster than one transaction).
     fn window_len(cfg: &SimConfig, mem: &MemorySystem) -> u64 {
@@ -445,14 +438,14 @@ impl<'d> ShardedSim<'d> {
         self.clock
     }
 
-    /// Total events fired across all shard wheels and the control queue.
+    /// Total events fired across all shard queues and the control queue.
     pub fn events_fired(&self) -> u64 {
         self.base_fired
             + self.ctrl_fired
             + self
                 .shards
                 .iter()
-                .map(|s| s.wheel.events_fired())
+                .map(|s| s.queue.events_fired())
                 .sum::<u64>()
     }
 
@@ -544,18 +537,16 @@ impl<'d> ShardedSim<'d> {
         }
     }
 
-    /// Delivers staged run-phase activations into their shards' wheels,
+    /// Delivers staged run-phase activations into their shards' queues,
     /// clamped to the window start `t` (conservative-exact: a completion
     /// computed in a past window cannot re-open closed time).
     fn flush_deliveries(&mut self, t: Cycle) {
         let deliveries = std::mem::take(&mut self.deliveries);
         for (at, thread) in deliveries {
-            let i = thread as usize;
-            let s = self.owner[i];
+            let s = self.owner[thread as usize];
             let seq = self.next_seq;
             self.next_seq += 1;
-            let sh = &mut self.shards[s];
-            sh.state.steps.book_seq(&mut sh.wheel, at.max(t), seq, i);
+            self.shards[s].queue.push_seq(at.max(t), seq, thread);
         }
     }
 
@@ -570,7 +561,7 @@ impl<'d> ShardedSim<'d> {
         // barrier, this only bounds a runaway single window.
         let budget = (self.cfg.max_events + 1).saturating_sub(fired_base).max(1);
         for (s, sh) in self.shards.iter_mut().enumerate() {
-            sh.state.steps.next_seq = lane_base + s as u64;
+            sh.queue.set_next_seq(lane_base + s as u64);
             sh.state.window_fired = 0;
             sh.state.window_budget = budget;
             sh.state.cap_hit = false;
@@ -581,7 +572,7 @@ impl<'d> ShardedSim<'d> {
         let lane_max = self
             .shards
             .iter()
-            .map(|sh| sh.state.steps.next_seq)
+            .map(|sh| sh.queue.next_seq())
             .max()
             .unwrap_or(lane_base);
         self.next_seq = self.next_seq.max(lane_max);
@@ -593,8 +584,8 @@ impl<'d> ShardedSim<'d> {
     fn collect_crossings(&mut self, t: Cycle, e: Cycle) {
         self.sync_stats.windows += 1;
         for s in 0..self.n_shards {
-            let wheel_now = self.shards[s].wheel.now();
-            let reached = wheel_now.max(t).min(e);
+            let queue_now = self.shards[s].queue.now();
+            let reached = queue_now.max(t).min(e);
             self.sync_stats.barrier_wait_cycles += (e - reached).0;
             let crossings = std::mem::take(&mut self.shards[s].state.crossings);
             self.sync_stats.crossings += crossings.len() as u64;
@@ -674,7 +665,7 @@ impl<'d> ShardedSim<'d> {
             //    window; silence means the run is over.
             let mut mn: Option<Cycle> = self.heap.peek().map(|&Reverse(it)| it.at);
             for sh in &self.shards {
-                if let Some(t) = sh.wheel.peek_time() {
+                if let Some(t) = sh.queue.peek_time() {
                     mn = Some(mn.map_or(t, |m| m.min(t)));
                 }
             }
@@ -747,7 +738,7 @@ impl<'d> ShardedSim<'d> {
     /// Serializes the run at the current barrier into the engine-shared
     /// checkpoint format: the canonical memory with every replica's
     /// progress merged in, threads in application order, and all pending
-    /// activity (shard wheels + control queue) as the pending-step set.
+    /// activity (shard queues + control queue) as the pending-step set.
     ///
     /// The image is deterministic and identical between
     /// [`ExecMode::Parallel`] and [`ExecMode::SingleWheel`]; it restores
@@ -755,7 +746,7 @@ impl<'d> ShardedSim<'d> {
     pub fn snapshot(&self) -> Checkpoint {
         let mut steps: Vec<(Cycle, u64, u32)> = Vec::new();
         for sh in &self.shards {
-            steps.extend_from_slice(&sh.state.steps.pending);
+            steps.extend(sh.queue.iter());
         }
         for &Reverse(it) in self.heap.iter() {
             steps.push((it.at, it.seq, it.thread));
@@ -778,9 +769,6 @@ impl<'d> ShardedSim<'d> {
             SnapshotView {
                 now,
                 fired,
-                // The serial invariant `scheduled == fired + pending`
-                // holds here too: neither engine cancels events.
-                scheduled: fired + steps.len() as u64,
                 watchdog: self.watchdog,
                 buffer_vas: &self.buffer_vas,
                 mem: &mem,
@@ -800,7 +788,7 @@ impl<'d> ShardedSim<'d> {
     /// Rebuilds a sharded simulation from a checkpoint image — one taken
     /// by this engine at any shard count *or* by the serial engine
     /// (pending steps route by thread phase: run-phase bodies onto their
-    /// shard's wheel, sync-phase scripts onto the control queue).
+    /// shard's queue, sync-phase scripts onto the control queue).
     ///
     /// A resumed run completes with the same outputs and final memory
     /// bytes as the uninterrupted one; exact event-count parity across a
@@ -834,10 +822,10 @@ impl<'d> ShardedSim<'d> {
         canon.enable_store_journal();
 
         let mut heap = BinaryHeap::new();
-        let mut wheel_steps: Vec<(Cycle, u64, u32)> = Vec::new();
+        let mut queue_steps: Vec<(Cycle, u64, u32)> = Vec::new();
         for &(at, seq, th) in &parts.steps {
             match parts.threads[th as usize].phase {
-                Phase::Run => wheel_steps.push((at, seq, th)),
+                Phase::Run => queue_steps.push((at, seq, th)),
                 _ => heap.push(Reverse(CtrlItem {
                     at,
                     seq,
@@ -858,8 +846,6 @@ impl<'d> ShardedSim<'d> {
             .into_iter()
             .zip(slots)
             .map(|(mem, threads)| {
-                let mut wheel = Scheduler::with_capacity(n * 2 + 8);
-                wheel.restore_meta(parts.now, 0, 0);
                 let state = ShardState {
                     mem,
                     os: None,
@@ -867,7 +853,6 @@ impl<'d> ShardedSim<'d> {
                     quantum: cfg.quantum,
                     retry_budget: cfg.fault_retry_budget,
                     fault_streaks: parts.fault_streaks.clone(),
-                    steps: StepMirror::new(0, p.shards as u64),
                     crossings: Vec::new(),
                     error: None,
                     window_fired: 0,
@@ -876,16 +861,13 @@ impl<'d> ShardedSim<'d> {
                     local_shootdowns: 0,
                     shootdown_out: Vec::new(),
                 };
-                Shard { state, wheel }
+                // The lane is set at the start of every window.
+                let queue = StepQueue::new(parts.now, 0, 0, p.shards as u64);
+                Shard { state, queue }
             })
             .collect();
-        // Re-schedule in (time, seq) order so per-wheel insertion order
-        // matches seq order — the invariant snapshots rely on.
-        wheel_steps.sort_unstable_by_key(|&(at, seq, _)| (at, seq));
-        for (at, seq, th) in wheel_steps {
-            let i = th as usize;
-            let sh = &mut shards[p.owner[i]];
-            sh.state.steps.book_seq(&mut sh.wheel, at, seq, i);
+        for (at, seq, th) in queue_steps {
+            shards[p.owner[th as usize]].queue.push_seq(at, seq, th);
         }
 
         let mut master_owner = vec![0usize; n + 1];

@@ -3,8 +3,8 @@
 //! [`simulate`] boots the OS, loads the application's buffers into one
 //! shared virtual address space, instantiates each thread (hardware threads
 //! with their private MMUs bound to that space; software threads on the CPU
-//! model), and runs everything to completion on the deterministic event
-//! scheduler. Hardware and software threads contend for the same bus,
+//! model), and runs everything to completion on the deterministic step
+//! queue. Hardware and software threads contend for the same bus,
 //! synchronize through the same primitives, and fault into the same OS —
 //! the paper's execution model end to end.
 
@@ -17,7 +17,7 @@ use svmsyn_os::addrspace::{OsError, Sigsegv};
 use svmsyn_os::cpu::{SwExec, SwExecConfig};
 use svmsyn_os::os::Os;
 use svmsyn_os::sync::ThreadId;
-use svmsyn_sim::{Cycle, Scheduler, StatSet};
+use svmsyn_sim::{Cycle, StatSet, StepQueue};
 use svmsyn_snap::{Snap, SnapError, SnapReader, SnapWriter};
 use svmsyn_vm::tlb::Asid;
 
@@ -25,7 +25,7 @@ use crate::app::{SyncAction, SyncSpec};
 use crate::checkpoint::{design_fingerprint, Checkpoint};
 use crate::flow::{Placement, SystemDesign};
 use crate::step::{
-    outcome, run_phase, sync_step, with_checkpoint, FaultStreak, RunParts, StepMirror, StepModel,
+    fire_next, outcome, run_phase, sync_step, with_checkpoint, FaultStreak, RunParts, StepModel,
     SyncHost, Watchdog,
 };
 
@@ -64,9 +64,9 @@ pub struct SimConfig {
     /// many scheduler events and returns a resumable [`Checkpoint`]
     /// ([`simulate`] resumes transparently). `0` disables pausing.
     pub checkpoint_every: u64,
-    /// Requested simulation shards. `1` (the default) runs the classic
-    /// single-wheel engine; `> 1` partitions the threads across per-shard
-    /// event wheels advanced in conservative lookahead windows (see
+    /// Requested simulation shards. `1` (the default) runs the serial
+    /// engine; `> 1` partitions the threads across per-shard step queues
+    /// advanced in conservative lookahead windows (see
     /// [`crate::shard`]). The planner may reduce the effective count — see
     /// [`crate::shard::planned_shards`].
     pub shards: u32,
@@ -262,7 +262,7 @@ impl ThreadMetrics {
 
 /// Barrier-synchronization counters from a sharded run (see
 /// [`crate::shard`]). `None` on [`SimOutcome`]s produced by the serial
-/// single-wheel engine.
+/// engine.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardSyncStats {
     /// Lookahead windows executed (barrier count).
@@ -305,7 +305,7 @@ pub struct SimOutcome {
     /// MMU/CPU-TLB target).
     pub shootdowns: u64,
     /// Barrier-synchronization counters when the run used the sharded
-    /// engine; `None` for serial single-wheel runs.
+    /// engine; `None` for serial runs.
     pub sync: Option<ShardSyncStats>,
 }
 
@@ -471,8 +471,6 @@ pub(crate) struct SystemState {
     pub(crate) retry_budget: u32,
     /// Per-target TLB shootdowns broadcast so far.
     pub(crate) shootdowns: u64,
-    /// Mirror of the wheel's pending step events (seq stride 1).
-    pub(crate) steps: StepMirror,
 }
 
 /// Broadcasts the OS's queued reclaim shootdowns to every hardware MMU
@@ -489,25 +487,20 @@ fn drain_shootdowns(os: &mut Os, threads: &mut [ThreadRt]) -> u64 {
     applied
 }
 
-type Sched = Scheduler<SystemState>;
-
-/// The serial engine's wheel model: every follow-up goes on its one wheel,
-/// and hardware page faults are serviced inline at the faulting cycle.
+/// The serial engine's step model: every follow-up goes on its one
+/// queue, and hardware page faults are serviced inline at the faulting
+/// cycle.
 impl StepModel for SystemState {
-    fn steps(&mut self) -> &mut StepMirror {
-        &mut self.steps
-    }
-
-    fn step(&mut self, sched: &mut Sched, i: usize) {
+    fn step(&mut self, q: &mut StepQueue, i: usize) {
         if self.error.is_some() {
             return;
         }
         match self.threads[i].phase {
             Phase::Pre(_) | Phase::Post(_) => {
-                let now = sched.now();
-                sync_step(&mut SerialSync(self, sched), now, i);
+                let now = q.now();
+                sync_step(&mut SerialSync(self, q), now, i);
             }
-            Phase::Run => run_phase(self, sched, i),
+            Phase::Run => run_phase(self, q, i),
             Phase::Done => {}
         }
     }
@@ -523,32 +516,32 @@ impl StepModel for SystemState {
         }
     }
 
-    fn fault(&mut self, sched: &mut Sched, i: usize, at: Cycle, va: VirtAddr, write: bool) {
+    fn fault(&mut self, q: &mut StepQueue, i: usize, at: Cycle, va: VirtAddr, write: bool) {
         match self
             .os
             .service_fault(self.asid, va, write, true, &mut self.mem, at)
         {
-            Ok(done) => self.steps.book(sched, done, i),
+            Ok(done) => q.push(done, i as u32),
             Err(fault) => {
                 let thread = self.threads[i].name.clone();
-                self.fail(sched, at, SimError::Segv { thread, fault });
+                self.fail(at, SimError::Segv { thread, fault });
             }
         }
     }
 
-    fn finished(&mut self, sched: &mut Sched, i: usize, at: Cycle) {
-        self.steps.book(sched, at, i);
+    fn finished(&mut self, q: &mut StepQueue, i: usize, at: Cycle) {
+        q.push(at, i as u32);
     }
 
-    fn fail(&mut self, sched: &mut Sched, _at: Cycle, error: SimError) {
+    /// The run loop stops before the next event once an error is set.
+    fn fail(&mut self, _at: Cycle, error: SimError) {
         self.error = Some(error);
-        sched.halt();
     }
 }
 
 /// The serial engine as a sync-script host: script steps, wakes, and
-/// run-phase entries all book on its one wheel.
-struct SerialSync<'a>(&'a mut SystemState, &'a mut Sched);
+/// run-phase entries all book on its one queue.
+struct SerialSync<'a>(&'a mut SystemState, &'a mut StepQueue);
 
 impl SyncHost for SerialSync<'_> {
     fn thread(&mut self, i: usize) -> &mut ThreadRt {
@@ -560,7 +553,7 @@ impl SyncHost for SerialSync<'_> {
     }
 
     fn book(&mut self, at: Cycle, i: usize) {
-        self.0.steps.book(self.1, at, i);
+        self.1.push(at, i as u32);
     }
 
     fn retire(&mut self) {
@@ -591,7 +584,7 @@ pub struct Sim<'d> {
     design: &'d SystemDesign,
     cfg: SimConfig,
     state: SystemState,
-    sched: Sched,
+    queue: StepQueue,
     buffer_vas: Vec<VirtAddr>,
     watchdog: Watchdog,
     /// Events fired at the last `checkpoint_every` pause.
@@ -602,9 +595,9 @@ impl std::fmt::Debug for Sim<'_> {
     /// Position summary only — the full state is megabytes of Debug noise.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Sim")
-            .field("now", &self.sched.now())
-            .field("events_fired", &self.sched.events_fired())
-            .field("pending", &self.sched.pending())
+            .field("now", &self.queue.now())
+            .field("events_fired", &self.queue.events_fired())
+            .field("pending", &self.queue.pending())
             .field("finished", &self.state.finished)
             .finish_non_exhaustive()
     }
@@ -628,7 +621,6 @@ impl<'d> Sim<'d> {
         let SnapshotParts {
             now,
             fired,
-            scheduled,
             watchdog,
             buffer_vas,
             mem,
@@ -640,9 +632,9 @@ impl<'d> Sim<'d> {
             shootdowns,
             threads,
             next_step_seq,
-            mut steps,
+            steps,
         } = parts;
-        let mut state = SystemState {
+        let state = SystemState {
             mem,
             os,
             asid,
@@ -654,26 +646,19 @@ impl<'d> Sim<'d> {
             fault_streaks,
             retry_budget: cfg.fault_retry_budget,
             shootdowns,
-            steps: StepMirror::new(next_step_seq, 1),
         };
-        // Rebuild the wheel: rewind the counters to the checkpoint minus
-        // the events about to be re-added, then re-schedule in original
-        // insertion order — `(time, seq)` — so same-cycle FIFO order (and
-        // therefore the entire future event sequence) is reproduced
-        // exactly. One step event per live thread is in flight at a time,
-        // plus wake events: size the slab once so the hot loop never
-        // reallocates it.
-        let mut sched: Sched = Scheduler::with_capacity(state.threads.len() * 2 + 8);
-        sched.restore_meta(now, fired, scheduled - steps.len() as u64);
-        steps.sort_unstable_by_key(|&(at, seq, _)| (at, seq));
+        // The entries keep their seqs, so they pop in the checkpointed
+        // `(time, seq)` order and the future event sequence is reproduced
+        // exactly. The serial lane has stride 1.
+        let mut queue = StepQueue::new(now, fired, next_step_seq, 1);
         for (at, seq, t) in steps {
-            state.steps.book_seq(&mut sched, at, seq, t as usize);
+            queue.push_seq(at, seq, t);
         }
         Sim {
             design,
             cfg: *cfg,
             state,
-            sched,
+            queue,
             buffer_vas,
             watchdog,
             last_pause_events: fired,
@@ -785,7 +770,6 @@ pub(crate) fn boot_system(design: &SystemDesign) -> Result<SnapshotParts, SimErr
     Ok(SnapshotParts {
         now: Cycle::ZERO,
         fired: 0,
-        scheduled: n as u64,
         watchdog: Watchdog::default(),
         buffer_vas,
         mem,
@@ -804,12 +788,12 @@ pub(crate) fn boot_system(design: &SystemDesign) -> Result<SnapshotParts, SimErr
 impl<'d> Sim<'d> {
     /// The current simulation time.
     pub fn now(&self) -> Cycle {
-        self.sched.now()
+        self.queue.now()
     }
 
-    /// Scheduler events fired so far.
+    /// Events fired so far.
     pub fn events_fired(&self) -> u64 {
-        self.sched.events_fired()
+        self.queue.events_fired()
     }
 
     /// Post-event bookkeeping: shootdown broadcast, event cap, fault-rate
@@ -818,8 +802,8 @@ impl<'d> Sim<'d> {
         self.state.shootdowns += drain_shootdowns(&mut self.state.os, &mut self.state.threads);
         let tripped = self.watchdog.check(
             &self.cfg,
-            self.sched.now(),
-            self.sched.events_fired(),
+            self.queue.now(),
+            self.queue.events_fired(),
             &self.state.os,
             &self.state.threads,
         );
@@ -846,14 +830,14 @@ impl<'d> Sim<'d> {
     /// [`SimError::EventLimit`] and [`SimError::Thrashing`] carry a
     /// resumable checkpoint of the run at the trip point.
     pub fn run(&mut self) -> Result<RunProgress, SimError> {
-        while self.state.error.is_none() && self.sched.step(&mut self.state) {
+        while self.state.error.is_none() && fire_next(&mut self.state, &mut self.queue) {
             if !self.after_step() {
                 break;
             }
             if self.cfg.checkpoint_every > 0
-                && self.sched.events_fired() - self.last_pause_events >= self.cfg.checkpoint_every
+                && self.queue.events_fired() - self.last_pause_events >= self.cfg.checkpoint_every
             {
-                self.last_pause_events = self.sched.events_fired();
+                self.last_pause_events = self.queue.events_fired();
                 return Ok(RunProgress::Paused(self.snapshot()));
             }
         }
@@ -874,12 +858,12 @@ impl<'d> Sim<'d> {
     /// not apply here.
     pub fn run_until(&mut self, until: Cycle) -> Result<bool, SimError> {
         while self.state.error.is_none() {
-            match self.sched.peek_time() {
+            match self.queue.peek_time() {
                 Some(t) if t <= until => {}
                 Some(_) => return Ok(true),
                 None => return Ok(false),
             }
-            if !self.sched.step(&mut self.state) {
+            if !fire_next(&mut self.state, &mut self.queue) {
                 break;
             }
             if !self.after_step() {
@@ -889,11 +873,11 @@ impl<'d> Sim<'d> {
         if let Some(e) = self.take_error() {
             return Err(e);
         }
-        Ok(self.sched.pending() > 0)
+        Ok(self.queue.pending() > 0)
     }
 
-    /// Serializes the complete simulator state — scheduler position and
-    /// pending events, memory image, fabric transactions, caches, TLBs,
+    /// Serializes the complete simulator state — queue position and
+    /// pending steps, memory image, fabric transactions, caches, TLBs,
     /// walk caches, interpreter tables, OS state, per-thread metrics — into
     /// a versioned, checksummed, fingerprinted image.
     ///
@@ -904,9 +888,8 @@ impl<'d> Sim<'d> {
         write_snapshot(
             self.design,
             SnapshotView {
-                now: self.sched.now(),
-                fired: self.sched.events_fired(),
-                scheduled: self.sched.events_scheduled(),
+                now: self.queue.now(),
+                fired: self.queue.events_fired(),
                 watchdog: self.watchdog,
                 buffer_vas: &self.buffer_vas,
                 mem: &s.mem,
@@ -917,8 +900,8 @@ impl<'d> Sim<'d> {
                 fault_streaks: s.fault_streaks.clone(),
                 shootdowns: s.shootdowns,
                 threads: s.threads.iter().collect(),
-                next_step_seq: s.steps.next_seq,
-                steps: s.steps.pending.clone(),
+                next_step_seq: self.queue.next_seq(),
+                steps: self.queue.iter().collect(),
             },
         )
     }
@@ -976,8 +959,8 @@ impl<'d> Sim<'d> {
 pub fn simulate(design: &SystemDesign, cfg: &SimConfig) -> Result<SimOutcome, SimError> {
     // Sharded dispatch: when the planner grants more than one shard the
     // run goes through the parallel engine. `shards <= 1` (and every
-    // design the planner forces serial) takes the classic single-wheel
-    // path below, untouched.
+    // design the planner forces serial) takes the serial path below,
+    // untouched.
     if crate::shard::planned_shards(design, cfg) > 1 {
         return crate::shard::simulate_sharded(design, cfg, crate::shard::ExecMode::Parallel);
     }
@@ -987,16 +970,15 @@ pub fn simulate(design: &SystemDesign, cfg: &SimConfig) -> Result<SimOutcome, Si
 }
 
 /// A borrowed view of everything a snapshot image records, in engine-
-/// neutral form: the serial engine fills it from its wheel and
+/// neutral form: the serial engine fills it from its step queue and
 /// [`SystemState`]; the sharded coordinator fills it from its barrier
 /// state (merged memory, per-shard thread homes, control queue + shard
-/// mirrors). [`write_snapshot`] serializes the view into the one shared
+/// step queues). [`write_snapshot`] serializes the view into the one shared
 /// image format, which is what makes serial and sharded checkpoints
 /// interchangeable.
 pub(crate) struct SnapshotView<'a> {
     pub(crate) now: Cycle,
     pub(crate) fired: u64,
-    pub(crate) scheduled: u64,
     pub(crate) watchdog: Watchdog,
     pub(crate) buffer_vas: &'a [VirtAddr],
     pub(crate) mem: &'a MemorySystem,
@@ -1018,10 +1000,11 @@ pub(crate) struct SnapshotView<'a> {
 /// engines read and write; the bytes are a pure function of the view.
 pub(crate) fn write_snapshot(design: &SystemDesign, v: SnapshotView<'_>) -> Checkpoint {
     let mut w = SnapWriter::new();
-    // Scheduler position.
+    // Queue position. The scheduled-event count is derived: neither
+    // engine cancels an event, so it is always `fired + pending`.
     w.put_u64(v.now.0);
     w.put_u64(v.fired);
-    w.put_u64(v.scheduled);
+    w.put_u64(v.fired + v.steps.len() as u64);
     // Fault-rate watchdog anchor.
     w.put_u64(v.watchdog.start.0);
     w.put_u64(v.watchdog.base_faults);
@@ -1060,9 +1043,9 @@ pub(crate) fn write_snapshot(design: &SystemDesign, v: SnapshotView<'_>) -> Chec
         t.end.save(&mut w);
         t.ret.save(&mut w);
     }
-    // The event mirror, sorted into firing order `(time, insertion
-    // seq)`: the live mirror's order depends on swap-remove history, which
-    // is not logical state.
+    // The pending steps, sorted into firing order `(time, seq)`: the
+    // queue's own order depends on its push and pop history, which is not
+    // logical state.
     w.put_u64(v.next_step_seq);
     let mut steps = v.steps;
     steps.sort_unstable_by_key(|&(at, seq, _)| (at, seq));
@@ -1080,7 +1063,6 @@ pub(crate) fn write_snapshot(design: &SystemDesign, v: SnapshotView<'_>) -> Chec
 pub(crate) struct SnapshotParts {
     pub(crate) now: Cycle,
     pub(crate) fired: u64,
-    pub(crate) scheduled: u64,
     pub(crate) watchdog: Watchdog,
     pub(crate) buffer_vas: Vec<VirtAddr>,
     pub(crate) mem: MemorySystem,
@@ -1093,8 +1075,7 @@ pub(crate) struct SnapshotParts {
     pub(crate) threads: Vec<ThreadRt>,
     pub(crate) next_step_seq: u64,
     /// Pending steps, validated (in-range thread named at most once,
-    /// `at >= now`, `seq < next_step_seq`) but in image order — sort by
-    /// `(at, seq)` before re-scheduling.
+    /// `at >= now`, `seq < next_step_seq`), in image order.
     pub(crate) steps: Vec<(Cycle, u64, u32)>,
 }
 
@@ -1196,9 +1177,6 @@ pub(crate) fn read_snapshot(
     if fault_streaks.len() != threads.len() {
         return Err(SnapError::Corrupt("fault-streak table size"));
     }
-    if steps.len() as u64 > scheduled {
-        return Err(SnapError::Corrupt("pending-step count"));
-    }
     // A live run keeps at most one pending step per thread; a duplicate
     // would step that thread twice and end the run early.
     let mut stepping = vec![false; threads.len()];
@@ -1216,11 +1194,16 @@ pub(crate) fn read_snapshot(
             return Err(SnapError::Corrupt("pending-step sequence"));
         }
     }
+    // Neither engine cancels an event, so an image whose scheduled count
+    // is not `fired + pending` was not written by either, and a run
+    // restored from it would re-snapshot to different bytes.
+    if scheduled != fired + steps.len() as u64 {
+        return Err(SnapError::Corrupt("pending-step count"));
+    }
 
     Ok(SnapshotParts {
         now,
         fired,
-        scheduled,
         watchdog,
         buffer_vas,
         mem,

@@ -9,9 +9,9 @@
 //! end-of-run assembly. The engines supply only where a follow-up goes:
 //!
 //! * the serial engine ([`crate::sim`]) books every follow-up on its one
-//!   wheel and services hardware page faults inline;
+//!   step queue and services hardware page faults inline;
 //! * the sharded engine ([`crate::shard`]) books run-phase follow-ups on
-//!   the shard's wheel in its seq lane, records faults and kernel
+//!   the shard's queue in its seq lane, records faults and kernel
 //!   completions as barrier crossings, and runs sync scripts on the
 //!   coordinator's control queue.
 //!
@@ -26,7 +26,7 @@ use svmsyn_mem::{MemorySystem, VirtAddr};
 use svmsyn_os::cpu::SliceEnd;
 use svmsyn_os::os::Os;
 use svmsyn_os::sync::{SyncResult, ThreadId};
-use svmsyn_sim::{Cycle, Scheduler};
+use svmsyn_sim::{Cycle, StepQueue};
 use svmsyn_vm::mmu::Access;
 use svmsyn_vm::tlb::Asid;
 
@@ -41,92 +41,6 @@ use crate::sim::{
 /// first)`; cleared on any step that makes progress.
 pub(crate) type FaultStreak = Option<(u64, u32, Cycle)>;
 
-/// Mirror of every step event resident on one wheel.
-///
-/// Wheel closures cannot be serialized, but every event in this system is
-/// "step thread `i` at cycle `t`", so snapshots record this registry
-/// instead and restore re-books equivalent events in `(time, seq)` order.
-/// Each event unregisters its own entry as it fires. Seqs come from a lane
-/// `next_seq, next_seq + stride, …`: stride 1 on the serial wheel, `N` on
-/// shard `s` of `N` (lane base `+ s`), so seqs stay globally unique
-/// without cross-shard coordination and each wheel's insertion order
-/// equals its `(time, seq)` order.
-#[derive(Debug)]
-pub(crate) struct StepMirror {
-    /// `(fire time, seq, thread)` of every resident step event, in no
-    /// particular order (snapshots sort).
-    pub(crate) pending: Vec<(Cycle, u64, u32)>,
-    /// The next seq this lane draws.
-    pub(crate) next_seq: u64,
-    stride: u64,
-}
-
-impl StepMirror {
-    /// An empty mirror whose lane starts at `next_seq`.
-    pub(crate) fn new(next_seq: u64, stride: u64) -> Self {
-        StepMirror {
-            pending: Vec::new(),
-            next_seq,
-            stride,
-        }
-    }
-
-    fn draw(&mut self) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += self.stride;
-        seq
-    }
-
-    /// Books a step of thread `i` at `at` with the next seq of this lane.
-    pub(crate) fn book<M: StepModel>(&mut self, sched: &mut Scheduler<M>, at: Cycle, i: usize) {
-        let seq = self.draw();
-        self.book_seq(sched, at, seq, i);
-    }
-
-    /// Books a step with an explicit seq: restore, and the coordinator's
-    /// barrier deliveries, which draw seqs below the window lanes.
-    pub(crate) fn book_seq<M: StepModel>(
-        &mut self,
-        sched: &mut Scheduler<M>,
-        at: Cycle,
-        seq: u64,
-        i: usize,
-    ) {
-        self.pending.push((at, seq, i as u32));
-        sched.schedule_at(at, move |m: &mut M, s: &mut Scheduler<M>| {
-            m.steps().unregister(seq);
-            m.step(s, i);
-        });
-    }
-
-    /// Completion delivery for a parked thread: wakes it at the fill's
-    /// exact completion cycle (clamped to `now` if the completion already
-    /// elapsed while the thread was descheduled — `schedule_wake`'s
-    /// contract). The mirror records the *clamped* time: that is the cycle
-    /// the wheel actually holds, and the one restore must re-book at.
-    pub(crate) fn book_wake<M: StepModel>(
-        &mut self,
-        sched: &mut Scheduler<M>,
-        wake: Cycle,
-        i: usize,
-    ) {
-        let seq = self.draw();
-        self.pending.push((wake.max(sched.now()), seq, i as u32));
-        sched.schedule_wake(wake, move |m: &mut M, s: &mut Scheduler<M>| {
-            m.steps().unregister(seq);
-            m.step(s, i);
-        });
-    }
-
-    /// Drops `seq` as its event fires. Order in the mirror is irrelevant,
-    /// so the removal is a swap.
-    fn unregister(&mut self, seq: u64) {
-        if let Some(idx) = self.pending.iter().position(|&(_, s, _)| s == seq) {
-            self.pending.swap_remove(idx);
-        }
-    }
-}
-
 /// The state one run-phase advance touches, borrowed from a model at once.
 pub(crate) struct RunParts<'a> {
     pub(crate) rt: &'a mut ThreadRt,
@@ -139,37 +53,40 @@ pub(crate) struct RunParts<'a> {
     pub(crate) retry_budget: u32,
 }
 
-/// A wheel model whose events all step threads — the serial engine's
+/// A model whose queued events all step threads — the serial engine's
 /// system state and each shard's state. It says where a run-phase
 /// follow-up goes; [`run_phase`] says what the step does.
-pub(crate) trait StepModel: Sized + 'static {
-    /// The mirror of this model's wheel.
-    fn steps(&mut self) -> &mut StepMirror;
-    /// Fires one (already unregistered) step event of thread `i`.
-    fn step(&mut self, sched: &mut Scheduler<Self>, i: usize);
+pub(crate) trait StepModel {
+    /// Fires one step of thread `i`, just popped from `q`.
+    fn step(&mut self, q: &mut StepQueue, i: usize);
     /// Everything a run-phase advance of thread `i` touches.
     fn run_parts(&mut self, i: usize) -> RunParts<'_>;
     /// Routes the page fault hardware thread `i` raised at `at`.
-    fn fault(
-        &mut self,
-        sched: &mut Scheduler<Self>,
-        i: usize,
-        at: Cycle,
-        va: VirtAddr,
-        write: bool,
-    );
+    fn fault(&mut self, q: &mut StepQueue, i: usize, at: Cycle, va: VirtAddr, write: bool);
     /// Routes thread `i`, whose kernel returned at `at`, to its post-sync
     /// script.
-    fn finished(&mut self, sched: &mut Scheduler<Self>, i: usize, at: Cycle);
+    fn finished(&mut self, q: &mut StepQueue, i: usize, at: Cycle);
     /// Stops the run on `error`, raised by the event firing at `at`.
-    fn fail(&mut self, sched: &mut Scheduler<Self>, at: Cycle, error: SimError);
+    fn fail(&mut self, at: Cycle, error: SimError);
+}
+
+/// Pops the earliest pending step off `q` and fires it on `m`. Returns
+/// `false` when nothing is pending.
+pub(crate) fn fire_next<M: StepModel>(m: &mut M, q: &mut StepQueue) -> bool {
+    match q.pop() {
+        Some((_, i)) => {
+            m.step(q, i as usize);
+            true
+        }
+        None => false,
+    }
 }
 
 /// Where one run-phase advance leaves its thread.
 enum Next {
     Step(Cycle),
     /// A hardware thread parked on an outstanding miss: wake at exactly
-    /// the fill's completion cycle via the wheel's wake path.
+    /// the fill's completion cycle via the queue's wake path.
     Wake(Cycle),
     Finished(Cycle),
     Fault {
@@ -278,25 +195,25 @@ fn advance(p: RunParts<'_>, i: usize, now: Cycle) -> Next {
     Next::Finished(end)
 }
 
-/// One run-phase step of thread `i` on model `m`'s wheel.
-pub(crate) fn run_phase<M: StepModel>(m: &mut M, sched: &mut Scheduler<M>, i: usize) {
-    let now = sched.now();
+/// One run-phase step of thread `i` on model `m`, whose steps `q` holds.
+pub(crate) fn run_phase<M: StepModel>(m: &mut M, q: &mut StepQueue, i: usize) {
+    let now = q.now();
     match advance(m.run_parts(i), i, now) {
-        Next::Step(at) => m.steps().book(sched, at, i),
-        Next::Wake(wake) => m.steps().book_wake(sched, wake, i),
-        Next::Finished(at) => m.finished(sched, i, at),
-        Next::Fault { at, va, write } => m.fault(sched, i, at, va, write),
+        Next::Step(at) => q.push(at, i as u32),
+        Next::Wake(wake) => q.push_wake(wake, i as u32),
+        Next::Finished(at) => m.finished(q, i, at),
+        Next::Fault { at, va, write } => m.fault(q, i, at, va, write),
         Next::Stop { error, rearm } => {
             if rearm {
-                m.steps().book(sched, now, i);
+                q.push(now, i as u32);
             }
-            m.fail(sched, now, error);
+            m.fail(now, error);
         }
     }
 }
 
 /// An engine's sync-script executor: the serial engine (follow-ups on its
-/// wheel) and the sharded coordinator (follow-ups on its control queue,
+/// step queue) and the sharded coordinator (follow-ups on its control queue,
 /// run-phase entries delivered into shards at the barrier).
 pub(crate) trait SyncHost {
     /// Thread `i`'s runtime, wherever it lives.

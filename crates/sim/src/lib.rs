@@ -1,12 +1,13 @@
 //! # svmsyn-sim — discrete-event simulation kernel
 //!
 //! The lowest substrate of the `svmsyn` stack: a deterministic, single-threaded
-//! discrete-event engine plus the small utilities every timing model needs.
+//! discrete-event queue plus the small utilities every timing model needs.
 //!
 //! * [`Cycle`] — the simulation time unit (one fabric clock cycle).
-//! * [`Scheduler`] — a generic event scheduler. The whole system state lives in
-//!   one model value `M`; events are boxed closures (or [`Event`] impls) fired
-//!   in `(time, insertion order)` order, which makes every run bit-reproducible.
+//! * [`StepQueue`] — the pending events. Every event means "step thread `i`
+//!   at cycle `t`"; entries pop in `(time, insertion order)` order, which
+//!   makes every run bit-reproducible, and they are plain data, so the
+//!   queue is its own snapshot record.
 //! * [`FcfsResource`] — a first-come-first-served "resource calendar" used to
 //!   model contention on shared single-server resources (bus, DRAM bank, TLB
 //!   port) without full event-per-beat machinery.
@@ -17,20 +18,22 @@
 //!
 //! # Example
 //!
-//! ```
-//! use svmsyn_sim::{Cycle, Scheduler};
+//! An engine pops the earliest step and runs that thread, which books its
+//! own next step:
 //!
-//! struct Model { fired: Vec<u64> }
-//! let mut sched = Scheduler::new();
-//! sched.schedule_at(Cycle(10), |m: &mut Model, s: &mut Scheduler<Model>| {
-//!     m.fired.push(s.now().0);
-//!     s.schedule_in(Cycle(5), |m: &mut Model, s: &mut Scheduler<Model>| {
-//!         m.fired.push(s.now().0);
-//!     });
-//! });
-//! let mut model = Model { fired: Vec::new() };
-//! sched.run(&mut model);
-//! assert_eq!(model.fired, vec![10, 15]);
+//! ```
+//! use svmsyn_sim::{Cycle, StepQueue};
+//!
+//! let mut q = StepQueue::new(Cycle::ZERO, 0, 0, 1);
+//! q.push(Cycle(10), 0);
+//! let mut fired = Vec::new();
+//! while let Some((now, thread)) = q.pop() {
+//!     fired.push((now.0, thread));
+//!     if now < Cycle(15) {
+//!         q.push(now + Cycle(5), thread);
+//!     }
+//! }
+//! assert_eq!(fired, [(10, 0), (15, 0)]);
 //! ```
 
 pub mod event;
@@ -40,7 +43,7 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use event::{reference::HeapScheduler, Event, Scheduler, INLINE_EVENT_BYTES};
+pub use event::StepQueue;
 pub use fabric::FabricResources;
 pub use resource::FcfsResource;
 pub use rng::Xoshiro256ss;

@@ -8,106 +8,112 @@ use svmsyn_hls::ir::{BinOp, CmpOp};
 use svmsyn_hls::opt::optimize;
 use svmsyn_mem::{split_at_page_boundaries, VirtAddr, PAGE_SIZE};
 use svmsyn_os::frame::FrameAllocator;
-use svmsyn_sim::{Cycle, HeapScheduler, Scheduler};
+use svmsyn_sim::{Cycle, StepQueue};
 use svmsyn_vm::pte::{Pte, PteFlags};
 use svmsyn_vm::tlb::{Asid, Replacement, Tlb, TlbConfig};
 
-/// The firing trace of one scheduler run: `(cycle, event id)` pairs.
-type SchedTrace = Vec<(u64, u32)>;
+/// The reference the step queue is checked against: a `Vec` kept sorted
+/// by `(time, seq)`, popped from the front.
+struct SortedVecQueue {
+    entries: Vec<(Cycle, u64, u32)>,
+    now: Cycle,
+    fired: u64,
+    next_seq: u64,
+    stride: u64,
+}
 
-/// One generated event: fired at its scheduled cycle, it logs itself and
-/// respawns `fanout` children at deterministic delays — a mix of zero-delay
-/// same-cycle ties, short near-future hops, and far jumps that cross any
-/// realistic wheel window. The far jump is id-derived, or with `fixed_far`
-/// the fixed [`FAR_DELAY`], which lands the far children of same-cycle
-/// parents on one overflow cycle. Children stop respawning once ids grow
-/// past the depth bound, so every program terminates.
-fn child_delay(id: u32, k: u8, fixed_far: bool) -> u64 {
-    match k % 3 {
-        0 => 0,                                    // same-cycle tie
-        1 => (id as u64 * 37 + k as u64) % 61 + 1, // near future
-        _ if fixed_far => FAR_DELAY,               // overflow-level ties
-        _ => (id as u64 * 131 + 7) % 9000 + 64,    // beyond small wheels
+impl SortedVecQueue {
+    fn push(&mut self, at: Cycle, thread: u32) {
+        assert!(at >= self.now);
+        self.entries.push((at, self.next_seq, thread));
+        self.next_seq += self.stride;
+        self.entries.sort_unstable();
+    }
+
+    fn pop(&mut self) -> Option<(Cycle, u32)> {
+        if self.entries.is_empty() {
+            return None;
+        }
+        let (at, _, thread) = self.entries.remove(0);
+        self.now = at;
+        self.fired += 1;
+        Some((at, thread))
     }
 }
 
-/// A far-future delay beyond every tested wheel window (at most 2^12).
-const FAR_DELAY: u64 = 6_000;
-
-const RESPAWN_BOUND: u32 = 4_000;
-
-type WheelEvent = Box<dyn FnOnce(&mut SchedTrace, &mut Scheduler<SchedTrace>) + Send>;
-type HeapEvent = Box<dyn FnOnce(&mut SchedTrace, &mut HeapScheduler<SchedTrace>)>;
-
-fn wheel_prog_event(id: u32, fanout: u8, fixed_far: bool) -> WheelEvent {
-    Box::new(move |m: &mut SchedTrace, s: &mut Scheduler<SchedTrace>| {
-        m.push((s.now().0, id));
-        if id < RESPAWN_BOUND {
-            for k in 0..fanout {
-                s.schedule_in(
-                    Cycle(child_delay(id, k, fixed_far)),
-                    wheel_prog_event(id + 1000 + k as u32, fanout, fixed_far),
-                );
-            }
-        }
-    })
-}
-
-fn heap_prog_event(id: u32, fanout: u8, fixed_far: bool) -> HeapEvent {
-    Box::new(
-        move |m: &mut SchedTrace, s: &mut HeapScheduler<SchedTrace>| {
-            m.push((s.now().0, id));
-            if id < RESPAWN_BOUND {
-                for k in 0..fanout {
-                    s.schedule_in(
-                        Cycle(child_delay(id, k, fixed_far)),
-                        heap_prog_event(id + 1000 + k as u32, fanout, fixed_far),
-                    );
+proptest! {
+    /// The step queue pops any schedule in the `(time, seq)` order of a
+    /// sorted-`Vec` reference: pushes at the current cycle (same-cycle ties
+    /// and zero-delay re-pushes after a pop), near and far-future pushes,
+    /// wakes booked in the past (clamped to now) and in the future, all
+    /// interleaved with pops, on a lane of any start and stride. The pop
+    /// trace, the clock, the fired count and the pending count agree after
+    /// every operation, and again once both are drained.
+    #[test]
+    fn step_queue_matches_sorted_vec_reference(
+        ops in prop::collection::vec((0u8..8, 0u64..2_000), 1..400),
+        start in 0u64..1_000,
+        fired in 0u64..1_000,
+        next_seq in 0u64..1_000,
+        stride in 1u64..5,
+    ) {
+        let mut q = StepQueue::new(Cycle(start), fired, next_seq, stride);
+        let mut reference = SortedVecQueue {
+            entries: Vec::new(),
+            now: Cycle(start),
+            fired,
+            next_seq,
+            stride,
+        };
+        let (mut trace, mut ref_trace) = (Vec::new(), Vec::new());
+        for (thread, &(kind, v)) in ops.iter().enumerate() {
+            let (thread, now) = (thread as u32, reference.now);
+            match kind {
+                0 | 1 => {
+                    trace.push(q.pop());
+                    ref_trace.push(reference.pop());
+                }
+                2 => {
+                    q.push(now, thread);
+                    reference.push(now, thread);
+                }
+                3 => {
+                    q.push(now + Cycle(v % 4), thread);
+                    reference.push(now + Cycle(v % 4), thread);
+                }
+                4 => {
+                    q.push(now + Cycle(v), thread);
+                    reference.push(now + Cycle(v), thread);
+                }
+                5 => {
+                    let far = now + Cycle((v + 1) << 24);
+                    q.push(far, thread);
+                    reference.push(far, thread);
+                }
+                6 => {
+                    q.push_wake(Cycle(now.0.saturating_sub(v)), thread);
+                    reference.push(now, thread);
+                }
+                _ => {
+                    q.push_wake(now + Cycle(v), thread);
+                    reference.push(now + Cycle(v), thread);
                 }
             }
-        },
-    )
-}
-
-proptest! {
-    /// The timing-wheel scheduler fires an arbitrary schedule in the exact
-    /// `(time, insertion order)` sequence the retired heap engine produced,
-    /// including same-cycle ties, pop-then-reschedule chains, and overflow
-    /// promotion across wheel windows of every size. With `fixed_far`, far
-    /// children tie on overflow cycles, and once both engines drain, the
-    /// roots are booked again past the window into the empty queue (a fault
-    /// wake under memory pressure) and run a second time.
-    #[test]
-    fn timing_wheel_matches_heap_scheduler(
-        roots in prop::collection::vec((0u64..5_000, 0u8..4), 1..32),
-        wheel_bits in 6u32..13,
-        fixed_far in any::<bool>(),
-    ) {
-        let mut wheel: Scheduler<SchedTrace> = Scheduler::with_wheel_bits(wheel_bits);
-        let mut heap: HeapScheduler<SchedTrace> = HeapScheduler::new();
-        for (i, &(t, fanout)) in roots.iter().enumerate() {
-            wheel.schedule_at(Cycle(t), wheel_prog_event(i as u32, fanout, fixed_far));
-            heap.schedule_at(Cycle(t), heap_prog_event(i as u32, fanout, fixed_far));
+            prop_assert_eq!(q.now(), reference.now);
+            prop_assert_eq!(q.events_fired(), reference.fired);
+            prop_assert_eq!(q.pending(), reference.entries.len());
+            prop_assert_eq!(q.next_seq(), reference.next_seq);
+            prop_assert_eq!(q.peek_time(), reference.entries.first().map(|e| e.0));
         }
-        let mut wheel_trace = SchedTrace::new();
-        let mut heap_trace = SchedTrace::new();
-        wheel.run(&mut wheel_trace);
-        heap.run(&mut heap_trace);
-        if fixed_far {
-            for (i, &(t, fanout)) in roots.iter().enumerate() {
-                let delay = Cycle(FAR_DELAY + t);
-                wheel.schedule_in(delay, wheel_prog_event(i as u32, fanout, true));
-                heap.schedule_in(delay, heap_prog_event(i as u32, fanout, true));
-            }
-        }
-        let wheel_end = wheel.run(&mut wheel_trace);
-        let heap_end = heap.run(&mut heap_trace);
-        prop_assert_eq!(wheel.events_fired(), heap.events_fired());
-        prop_assert_eq!(wheel_end, heap_end);
-        prop_assert_eq!(wheel_trace, heap_trace);
-        // Both drained completely.
-        prop_assert_eq!(wheel.pending(), 0);
-        prop_assert_eq!(heap.pending(), 0);
+        let mut pending: Vec<_> = q.iter().collect();
+        pending.sort_unstable();
+        prop_assert_eq!(&pending, &reference.entries);
+        trace.extend(std::iter::from_fn(|| q.pop()).map(Some));
+        ref_trace.extend(std::iter::from_fn(|| reference.pop()).map(Some));
+        prop_assert_eq!(trace, ref_trace);
+        prop_assert_eq!(q.now(), reference.now);
+        prop_assert_eq!(q.events_fired(), reference.fired);
+        prop_assert_eq!(q.pending(), 0);
     }
 
     #[test]

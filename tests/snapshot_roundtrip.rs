@@ -292,6 +292,40 @@ fn duplicate_pending_step_is_rejected_as_corrupt() {
     }
 }
 
+/// An image's scheduled-event count is `fired + pending` in every run
+/// either engine writes; a well-formed image that says otherwise is
+/// rejected by both engines, instead of resuming into a run whose
+/// re-snapshot differs from its source.
+#[test]
+fn forged_scheduled_count_is_rejected_as_corrupt() {
+    let (design, cfg, cp) = sample_checkpoint();
+    let (fingerprint, payload) = svmsyn_snap::read_image(cp.as_bytes(), SNAPSHOT_VERSION).unwrap();
+    // The payload opens with `now`, `fired` and `scheduled`, 8 bytes each.
+    let scheduled = u64::from_le_bytes(payload[16..24].try_into().unwrap());
+    let forge = |count: u64| {
+        let mut forged = payload.to_vec();
+        forged[16..24].copy_from_slice(&count.to_le_bytes());
+        Checkpoint::from_bytes(svmsyn_snap::write_image(
+            SNAPSHOT_VERSION,
+            fingerprint,
+            &forged,
+        ))
+    };
+    assert_eq!(forge(scheduled).as_bytes(), cp.as_bytes());
+    for count in [scheduled - 1, scheduled + 1] {
+        let serial = Sim::restore(&design, &cfg, &forge(count)).err();
+        let sharded =
+            ShardedSim::restore(&design, &cfg, ExecMode::SingleWheel, &forge(count)).err();
+        for err in [serial, sharded] {
+            let err = err.expect("a forged scheduled count restored");
+            assert!(
+                matches!(err, SimError::Snapshot(SnapError::Corrupt(_))),
+                "scheduled {count} (image {scheduled}): got {err:?}"
+            );
+        }
+    }
+}
+
 #[test]
 fn checkpoint_survives_disk_roundtrip() {
     let (design, cfg, cp) = sample_checkpoint();

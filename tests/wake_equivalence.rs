@@ -1,17 +1,18 @@
 //! Differential suite for event-driven completion delivery.
 //!
-//! PR 5 wires fabric completions into the discrete-event scheduler:
-//! consumers park on an outstanding transaction (a registered waiter per
-//! `(master, TxnId)`) and the timing wheel wakes them at the exact
-//! completion cycle, instead of analytically polling `poll()` and charging
-//! the stall in place. Three contracts lock the wake path down:
+//! Fabric completions drive the discrete-event engine: consumers park on
+//! an outstanding transaction (a registered waiter per `(master, TxnId)`)
+//! and the step queue wakes them at the exact completion cycle, instead of
+//! analytically polling `poll()` and charging the stall in place. Three
+//! contracts lock the wake path down:
 //!
 //! 1. **Delivery identity.** Multi-master blocking-discipline streams
 //!    produce *cycle-identical* per-transaction completions whether each
 //!    master analytically polls (a hand-rolled `(time, insertion order)`
-//!    loop) or parks on a registered waiter and is woken by the
-//!    [`Scheduler`] — for the blocking fabric configuration *and* the
-//!    windowed one. Lost or drifting wakeups would break the equality.
+//!    loop) or parks on a registered waiter and is woken through the
+//!    [`StepQueue`]'s wake path — for the blocking fabric configuration
+//!    *and* the windowed one. Lost or drifting wakeups would break the
+//!    equality.
 //! 2. **Exact-cycle wakes.** A hardware thread that parks a dependent
 //!    micro-op on a miss reports a wake cycle at which the fabric's
 //!    registered waiter fires — never one cycle early, never late.
@@ -36,9 +37,9 @@ use svmsyn_hls::ir::{BinOp, CmpOp, Width};
 use svmsyn_hwt::memif::{Memif, MemifConfig};
 use svmsyn_hwt::thread::{HwStep, HwThread, HwThreadConfig};
 use svmsyn_mem::{
-    FabricConfig, MasterId, MemConfig, MemorySystem, PhysAddr, TxnDesc, TxnKind, VirtAddr,
+    FabricConfig, MasterId, MemConfig, MemorySystem, PhysAddr, TxnDesc, TxnId, TxnKind, VirtAddr,
 };
-use svmsyn_sim::{Cycle, Scheduler, Xoshiro256ss};
+use svmsyn_sim::{Cycle, StepQueue, Xoshiro256ss};
 use svmsyn_vm::pte::{DirEntry, Pte, PteFlags};
 use svmsyn_vm::tlb::Asid;
 use svmsyn_workloads::chase::{chase_data, chase_stream_kernel};
@@ -109,62 +110,47 @@ fn run_analytic(fabric: FabricConfig, queues: &[Vec<GenTxn>]) -> (Vec<Vec<Cycle>
     (done, busy)
 }
 
-/// Mode B — **event-driven delivery**: each master's issue is a scheduler
-/// event; the master registers a completion waiter and parks, and the wake
-/// event (scheduled at the waiter's exact cycle) confirms delivery via
-/// `drain_woken` before issuing the next request.
-struct EventModel {
-    mem: MemorySystem,
-    queues: Vec<Vec<GenTxn>>,
-    done: Vec<Vec<Cycle>>,
-}
-
+/// Mode B — **event-driven delivery**: each queue entry means "master `m`
+/// acts next". An unparked master issues its next request, registers a
+/// completion waiter, parks, and books its wake at the waiter's exact
+/// cycle; the wake confirms delivery via `drain_woken` and books the next
+/// issue after the think time.
 fn run_event_driven(fabric: FabricConfig, queues: &[Vec<GenTxn>]) -> (Vec<Vec<Cycle>>, u64) {
-    fn issue(model: &mut EventModel, sched: &mut Scheduler<EventModel>, m: usize) {
-        let idx = model.done[m].len();
-        let desc = desc_of(&model.queues[m][idx]);
-        let now = sched.now();
-        let id = model.mem.issue(desc, now);
-        let wake = model.mem.register_waiter(desc.master, id);
-        model.done[m].push(wake);
-        sched.schedule_wake(
-            wake,
-            move |model: &mut EventModel, sched: &mut Scheduler<EventModel>| {
-                // The wake fires at the registered completion cycle, never
-                // early or late: the waiter must surface exactly now.
-                let woken = model.mem.drain_woken(desc.master, sched.now());
-                assert_eq!(woken, vec![(id, sched.now())], "wake drift for {desc:?}");
-                if let Some(&(_, _, _, think, _)) = model.queues[m].get(idx + 1) {
-                    sched.schedule_in(
-                        Cycle(think),
-                        move |model: &mut EventModel, sched: &mut Scheduler<EventModel>| {
-                            issue(model, sched, m)
-                        },
-                    );
-                }
-            },
-        );
-    }
-
-    let mut sched: Scheduler<EventModel> = Scheduler::new();
-    let mut model = EventModel {
-        mem: small_mem(fabric),
-        queues: queues.to_vec(),
-        done: vec![Vec::new(); MASTERS],
-    };
-    for (m, q) in queues.iter().enumerate() {
-        if let Some(&(_, _, _, think, _)) = q.first() {
-            sched.schedule_at(
-                Cycle(think),
-                move |model: &mut EventModel, sched: &mut Scheduler<EventModel>| {
-                    issue(model, sched, m)
-                },
-            );
+    let mut mem = small_mem(fabric);
+    let mut done: Vec<Vec<Cycle>> = vec![Vec::new(); MASTERS];
+    // The transaction each master is parked on: its next entry is a wake
+    // when set, an issue otherwise.
+    let mut parked: Vec<Option<(TxnDesc, TxnId)>> = vec![None; MASTERS];
+    let mut q = StepQueue::new(Cycle::ZERO, 0, 0, 1);
+    for (m, queue) in queues.iter().enumerate() {
+        if let Some(&(_, _, _, think, _)) = queue.first() {
+            q.push(Cycle(think), m as u32);
         }
     }
-    sched.run(&mut model);
-    let busy = model.mem.fabric().busy_cycles();
-    (model.done, busy)
+    while let Some((now, m)) = q.pop() {
+        let m = m as usize;
+        match parked[m].take() {
+            None => {
+                let desc = desc_of(&queues[m][done[m].len()]);
+                let id = mem.issue(desc, now);
+                let wake = mem.register_waiter(desc.master, id);
+                done[m].push(wake);
+                parked[m] = Some((desc, id));
+                q.push_wake(wake, m as u32);
+            }
+            Some((desc, id)) => {
+                // The wake fires at the registered completion cycle, never
+                // early or late: the waiter must surface exactly now.
+                let woken = mem.drain_woken(desc.master, now);
+                assert_eq!(woken, vec![(id, now)], "wake drift for {desc:?}");
+                if let Some(&(_, _, _, think, _)) = queues[m].get(done[m].len()) {
+                    q.push(now + Cycle(think), m as u32);
+                }
+            }
+        }
+    }
+    let busy = mem.fabric().busy_cycles();
+    (done, busy)
 }
 
 proptest! {
